@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck test test-serial race bench bench-allocs bench-json benchdiff snapshot-roundtrip fuzz-short examples clean
+.PHONY: verify build vet fmtcheck test test-serial race bench-smoke bench bench-allocs bench-json benchdiff snapshot-roundtrip fuzz-short examples clean
 
 # The tier-1 gate: everything CI runs.
-verify: build vet fmtcheck test test-serial race
+verify: build vet fmtcheck test test-serial race bench-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ test-serial:
 # and the adaptive replanning loop's concurrent replan-and-swap churn.
 race:
 	$(GO) test -race ./internal/engine -run 'Shard|Serve|Batch|Dynamic|Planner|Planned|Stats|Adaptive|Replan|Observe'
+
+# The benchmark module's smoke test: every perfbench workload at 2%
+# size, untraced and traced, checked against its independent brute
+# oracle (NN≠0 bit-exact, π and E[d] within 1e-12). perfbench is a
+# module of its own, so the root `go test ./...` does not reach it.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Engine benchmarks: parallel batch vs sequential, sharded vs unsharded.
 bench:

@@ -499,6 +499,9 @@ func (e *Engine) queryValue(spec *kindSpec, req Request) (any, error) {
 	if err := e.check(spec.cap); err != nil {
 		return nil, err
 	}
+	if err := checkQuery(req.Q); err != nil {
+		return nil, err
+	}
 	defer func(t0 time.Time) { e.stats.record(spec.cap, time.Since(t0)); e.noteQueries(1) }(time.Now())
 	var gen uint64
 	var key cacheKey
@@ -540,6 +543,9 @@ func (e *Engine) QueryNonzero(q geom.Point) ([]int, error) {
 // mixing caching with Into should expect only hit-path sharing.
 func (e *Engine) QueryNonzeroInto(q geom.Point, dst []int) ([]int, error) {
 	if err := e.check(CapNonzero); err != nil {
+		return dst, err
+	}
+	if err := checkQuery(q); err != nil {
 		return dst, err
 	}
 	defer func(t0 time.Time) { e.stats.record(CapNonzero, time.Since(t0)); e.noteQueries(1) }(time.Now())
@@ -674,6 +680,9 @@ func (e *Engine) BatchNonzero(qs []geom.Point) ([][]int, error) {
 	if err := e.check(CapNonzero); err != nil {
 		return nil, err
 	}
+	if err := checkBatch(qs); err != nil {
+		return nil, err
+	}
 	e.stats.countBatch(len(qs))
 	if e.tileSize() > 0 && len(qs) > 0 {
 		out, err := e.batchNonzeroTiled(qs, make([][]int, len(qs)), true)
@@ -695,6 +704,9 @@ func (e *Engine) BatchNonzero(qs []geom.Point) ([][]int, error) {
 // answers are not installed in the cache (hits are still served).
 func (e *Engine) BatchNonzeroInto(qs []geom.Point, dst [][]int) ([][]int, error) {
 	if err := e.check(CapNonzero); err != nil {
+		return dst, err
+	}
+	if err := checkBatch(qs); err != nil {
 		return dst, err
 	}
 	e.stats.countBatch(len(qs))
@@ -725,6 +737,9 @@ func (e *Engine) BatchProbs(qs []geom.Point, eps float64) ([][]quantify.Prob, er
 	if err := e.check(CapProbs); err != nil {
 		return nil, err
 	}
+	if err := checkBatch(qs); err != nil {
+		return nil, err
+	}
 	e.stats.countBatch(len(qs))
 	return batch(e.opt.Workers, qs, func(q geom.Point) ([]quantify.Prob, error) {
 		return e.QueryProbs(q, eps)
@@ -736,6 +751,9 @@ func (e *Engine) BatchProbs(qs []geom.Point, eps float64) ([][]quantify.Prob, er
 // QueryExpected(qs[i]).
 func (e *Engine) BatchExpected(qs []geom.Point) ([]ExpectedResult, error) {
 	if err := e.check(CapExpected); err != nil {
+		return nil, err
+	}
+	if err := checkBatch(qs); err != nil {
 		return nil, err
 	}
 	e.stats.countBatch(len(qs))
@@ -758,6 +776,9 @@ func (e *Engine) BatchExpected(qs []geom.Point) ([]ExpectedResult, error) {
 // QueryTopK(qs[i], k, eps).
 func (e *Engine) BatchTopK(qs []geom.Point, k int, eps float64) ([][]quantify.Prob, error) {
 	if err := e.check(CapTopK); err != nil {
+		return nil, err
+	}
+	if err := checkBatch(qs); err != nil {
 		return nil, err
 	}
 	e.stats.countBatch(len(qs))

@@ -26,6 +26,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"unn/internal/geom"
@@ -88,6 +89,31 @@ func (c Capability) String() string {
 // ErrUnsupported is returned by a query method the backend does not
 // support (for its dataset).
 var ErrUnsupported = errors.New("engine: query kind unsupported by backend")
+
+// ErrInvalidInput is returned by a query method given an input no
+// answer can be correct for: a query point with a NaN or ±Inf
+// coordinate (Lemma 2.1 compares distances, and every comparison with
+// NaN is false, so such a point would silently get an empty NN≠0 set).
+var ErrInvalidInput = errors.New("engine: invalid input")
+
+// checkQuery returns ErrInvalidInput unless q has finite coordinates.
+func checkQuery(q geom.Point) error {
+	if math.IsNaN(q.X) || math.IsNaN(q.Y) || math.IsInf(q.X, 0) || math.IsInf(q.Y, 0) {
+		return fmt.Errorf("%w: query point (%v, %v) is not finite", ErrInvalidInput, q.X, q.Y)
+	}
+	return nil
+}
+
+// checkBatch applies checkQuery to every point of a batch before any is
+// answered, reporting the lowest failing index like every batch error.
+func checkBatch(qs []geom.Point) error {
+	for i, q := range qs {
+		if err := checkQuery(q); err != nil {
+			return fmt.Errorf("engine: batch query %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // Dataset is the uniform input handed to every backend's Build. Points
 // is always populated; the specialized views are filled in when the

@@ -21,19 +21,27 @@
 //     historical merge: shard answers supply the candidates (each
 //     shard's NN≠0 set is a superset of its members' global NN≠0 set)
 //     and the same global filter reproduces the monolithic answer.
-//   - QueryProbs combines per-shard sparse π vectors under the
-//     independence model: within a shard the backend already accounts
-//     for in-shard competition, so the merge multiplies each candidate
-//     location's contribution by the survival probability of every
-//     *other* shard, Π_{t≠s} Π_{j∈t} (1 − G_j(q,r)) — the cross-shard
-//     renormalization. For discrete datasets this is exact (it
-//     reproduces Eq. (2)); for continuous ones the cross-shard survival
-//     is integrated against the candidate's distance cdf *conditioned on
-//     the candidate winning its own shard* (the in-shard survival
-//     product reweights the integrand), so the sharded Monte-Carlo path
-//     converges to the exact Eq. (2) value as the per-shard estimates
-//     do — the only residual error is the backend's own estimate and
-//     the integral's discretization.
+//   - QueryProbs on discrete datasets evaluates Eq. (2) exactly, with no
+//     per-shard backend calls. One fused ScanTwoMin pass, the NN≠0
+//     scan, stages δ_j and the two smallest Δ's m1 ≤ m2; it runs while
+//     lb < m2 || lb ≤ m1. A location of P_i at distance r contributes
+//     only while every other point may still be farther (G_j(r) < 1
+//     needs r < Δ_j): r < Δ_arg1 = m1 for i ≠ arg1, r ≤ Δ_i = m1 for
+//     i = arg1, so every contributing r is ≤ m1. Rows with
+//     δ_j > m1 therefore have G_j(r) = 0 exactly — a factor of 1 — and
+//     Eq. (2) runs over the competitors C = {scanned j : δ_j ≤ m1} for
+//     the NN≠0 members of C only (Lemma 2.1: π is 0 elsewhere). The
+//     vector is exact whatever the shard backends are, spiral and
+//     Monte-Carlo shards included. On continuous datasets the merge
+//     combines per-shard sparse π vectors under the independence model:
+//     within a shard the backend already accounts for in-shard
+//     competition, and the cross-shard survival is integrated against
+//     the candidate's distance cdf *conditioned on the candidate winning
+//     its own shard* (the in-shard survival product reweights the
+//     integrand), so the sharded Monte-Carlo path converges to the exact
+//     Eq. (2) value as the per-shard estimates do — the only residual
+//     error is the backend's own estimate and the integral's
+//     discretization.
 //   - QueryExpected min-reduces the per-shard expected-distance winners,
 //     tie-breaking on the global index.
 //
@@ -220,6 +228,53 @@ func (sx *ShardedIndex) appendNonzero(q geom.Point, dst []int) ([]int, error) {
 	return dst, err
 }
 
+// scanned is the state one fused Lemma 2.1 scan leaves: δ_i staged for
+// every row of the scanned parts (ps.parts[:cut]) in a dense row indexed
+// by global id, and the two smallest Δ's m1 ≤ m2, m1 attained by arg1.
+type scanned struct {
+	deltas []float64
+	m1, m2 float64
+	arg1   int
+	cut    int
+	single bool // n == 1: the lone point is its own NN≠0 answer
+}
+
+// nonzero reports whether scanned row i is in NN≠0(q):
+// δ_i < min_{j≠i} Δ_j (Lemma 2.1).
+func (ls *scanned) nonzero(i int) bool {
+	bound := ls.m1
+	if i == ls.arg1 {
+		bound = ls.m2
+	}
+	return ls.deltas[i] < bound || ls.single
+}
+
+// lemmaScan runs one kernel.Flat.ScanTwoMin pass per part of ps.parts
+// (sorted by lower bound lb) and counts a visit in slot for each part it
+// scans. It stops at the first part with lb ≥ m2 and lb > m1; lb only
+// grows along the order, so no later part is needed either. Such a part
+// cannot lower m1/m2 (its Δ's are ≥ lb), holds no NN≠0 member (its δ's
+// are ≥ lb ≥ m2, which the strict < of the filter rejects) and no row
+// with δ_j ≤ m1 — so every row with δ_j ≤ m1, the competitor set of the
+// π merge, is among the scanned ones.
+func (sx *ShardedIndex) lemmaScan(f *kernel.Flat, q geom.Point, ps *planScratch, slot int) scanned {
+	deltas := ps.sc.Dists
+	if cap(deltas) < f.N {
+		deltas = make([]float64, f.N)
+		ps.sc.Dists = deltas
+	}
+	ls := scanned{deltas: deltas[:f.N], m1: math.Inf(1), m2: math.Inf(1), arg1: -1, single: sx.n == 1}
+	for _, bs := range ps.parts {
+		if bs.lb >= ls.m2 && bs.lb > ls.m1 {
+			break
+		}
+		bs.s.visits[slot].Add(1)
+		ls.m1, ls.m2, ls.arg1 = f.ScanTwoMin(bs.s.ids, q.X, q.Y, ls.deltas, ls.m1, ls.m2, ls.arg1)
+		ls.cut++
+	}
+	return ls
+}
+
 // nonzeroInto is the merge body: callers hold the read lock and have
 // checked broken/caps.
 func (sx *ShardedIndex) nonzeroInto(q geom.Point, dst []int, ps *planScratch) ([]int, error) {
@@ -241,40 +296,13 @@ func (sx *ShardedIndex) nonzeroInto(q geom.Point, dst []int, ps *planScratch) ([
 	ordered := ps.parts
 	start := len(dst)
 
-	// Two smallest Δ over every unpruned shard. A shard with lb ≥ m2 can
-	// neither lower m1/m2 (its Δ's are ≥ lb) nor contribute a candidate
-	// (its δ's are ≥ lb ≥ the final threshold), and lb only grows along
-	// the order, so the scan stops at the first such shard.
-	m1, m2 := math.Inf(1), math.Inf(1)
-	arg1 := -1
-
 	if f := sx.flat; f != nil {
-		// Flat path: one fused SoA pass per active shard stages δ_i into
-		// the dense scratch row (indexed by global id) while folding Δ_i
-		// into the two-smallest state; the filter then applies the global
-		// predicate straight off the staged values — no backend calls.
-		deltas := ps.sc.Dists
-		if cap(deltas) < f.N {
-			deltas = make([]float64, f.N)
-			ps.sc.Dists = deltas
-		}
-		deltas = deltas[:f.N]
-		cut := 0
-		for _, bs := range ordered {
-			if bs.lb >= m2 {
-				break
-			}
-			bs.s.visits[slotNonzero].Add(1)
-			m1, m2, arg1 = f.ScanTwoMin(bs.s.ids, q.X, q.Y, deltas, m1, m2, arg1)
-			cut++
-		}
-		for _, bs := range ordered[:cut] {
+		// Flat path: the global predicate straight off the staged δ's —
+		// no backend calls.
+		ls := sx.lemmaScan(f, q, ps, slotNonzero)
+		for _, bs := range ordered[:ls.cut] {
 			for _, i := range bs.s.ids {
-				bound := m1
-				if i == arg1 {
-					bound = m2
-				}
-				if deltas[i] < bound || sx.n == 1 {
+				if ls.nonzero(i) {
 					dst = append(dst, i)
 				}
 			}
@@ -282,6 +310,13 @@ func (sx *ShardedIndex) nonzeroInto(q geom.Point, dst []int, ps *planScratch) ([
 		slices.Sort(dst[start:])
 		return dst, nil
 	}
+
+	// Two smallest Δ over every unpruned shard. A shard with lb ≥ m2 can
+	// neither lower m1/m2 (its Δ's are ≥ lb) nor contribute a candidate
+	// (its δ's are ≥ lb ≥ the final threshold), and lb only grows along
+	// the order, so the scan stops at the first such shard.
+	m1, m2 := math.Inf(1), math.Inf(1)
+	arg1 := -1
 
 	// AoS fallback (no flat mirror): the per-shard merge — shard answers
 	// supply the candidates, the global filter decides.
@@ -358,8 +393,9 @@ func (sx *ShardedIndex) QueryExpected(q geom.Point) (int, float64, error) {
 	return bestI, bestD, nil
 }
 
-// QueryProbs implements Index: per-shard sparse π vectors combined with
-// the cross-shard renormalization of the independence model.
+// QueryProbs implements Index: exact Eq. (2) over the Lemma 2.1
+// competitors for discrete datasets, per-shard sparse π vectors combined
+// under the independence model for continuous ones.
 func (sx *ShardedIndex) QueryProbs(q geom.Point, eps float64) ([]quantify.Prob, error) {
 	sx.mu.RLock()
 	defer sx.mu.RUnlock()
@@ -418,87 +454,51 @@ func (sx *ShardedIndex) probsLocked(q geom.Point, eps float64, slot int) ([]quan
 	ps := getPlanScratch()
 	defer putPlanScratch(ps)
 	ps.parts = sx.appendParts(q, ps.parts[:0])
-	ordered := ps.parts
-	// Both merge paths scan every part for candidates (pruning happens at
-	// the survival-factor level, not per shard), so every part counts.
-	for _, bs := range ordered {
-		bs.s.visits[slot].Add(1)
+	// Every discrete dataset carries a discrete flat mirror (Build,
+	// the mutation paths and snapshot restore all derive one), so the
+	// discrete merge never consults the shard backends.
+	if f := sx.flat; f != nil && f.Kind == kernel.KindDiscrete {
+		return sx.discreteProbs(f, q, slot, ps), nil
 	}
+
+	// Continuous path: candidates staged as parallel scratch rows
+	// (global id, owning-shard position, shard-local π). Every part is
+	// asked for candidates (pruning happens at the survival-factor level,
+	// not per shard), so every part counts a visit.
+	ordered := ps.parts
+	cands := ps.sc.Cand[:0]
+	owners := ps.sc.Loc[:0]
+	pis := ps.sc.Probs[:0]
+	for si, bs := range ordered {
+		bs.s.visits[slot].Add(1)
+		loc, err := bs.s.ix.QueryProbs(q, eps)
+		if err != nil {
+			ps.sc.Cand, ps.sc.Loc, ps.sc.Probs = cands, owners, pis
+			return nil, fmt.Errorf("shard merge: %w", err)
+		}
+		for _, pr := range loc {
+			cands = append(cands, bs.s.ids[pr.I])
+			owners = append(owners, si)
+			pis = append(pis, pr.P)
+		}
+	}
+	ps.sc.Cand, ps.sc.Loc, ps.sc.Probs = cands, owners, pis
 	var out []quantify.Prob
-	if sx.ds.Discrete != nil {
-		// Exact path: the shard answers fix the candidate set, and each
-		// candidate's global value is re-derived per location with the full
-		// cross-shard survival product. For candidates, a shard's NN≠0 set
-		// is preferred when the backend has it — by Lemma 2.1 it contains
-		// every member with positive π (fewer competitors only grow both
-		// sets) and is far cheaper than the shard's full π sweep; backends
-		// without CapNonzero (vpr, montecarlo, spiral) fall back to their
-		// sparse π vector.
-		cands := ps.sc.Cand[:0]
-		for _, bs := range ordered {
-			if bs.s.ix.Capabilities().Has(CapNonzero) {
-				loc, err := appendNonzeroOf(bs.s.ix, q, ps.sc.Loc[:0])
-				ps.sc.Loc = loc
-				if err != nil {
-					ps.sc.Cand = cands
-					return nil, fmt.Errorf("shard merge: %w", err)
-				}
-				for _, li := range loc {
-					cands = append(cands, bs.s.ids[li])
-				}
-				continue
-			}
-			loc, err := bs.s.ix.QueryProbs(q, eps)
-			if err != nil {
-				ps.sc.Cand = cands
-				return nil, fmt.Errorf("shard merge: %w", err)
-			}
-			for _, pr := range loc {
-				cands = append(cands, bs.s.ids[pr.I])
-			}
+	total := 0.0
+	for ci, gi := range cands {
+		p := pis[ci] * sx.conditionalCrossSurvival(q, gi, ordered, owners[ci])
+		if p > 0 {
+			out = append(out, quantify.Prob{I: gi, P: p})
+			total += p
 		}
-		ps.sc.Cand = cands
-		for _, gi := range cands {
-			p := sx.exactPi(q, gi, ordered)
-			if p > 0 {
-				out = append(out, quantify.Prob{I: gi, P: p})
-			}
-		}
-	} else {
-		// Continuous path: candidates staged as parallel scratch rows
-		// (global id, owning-shard position, shard-local π).
-		cands := ps.sc.Cand[:0]
-		owners := ps.sc.Loc[:0]
-		pis := ps.sc.Probs[:0]
-		for si, bs := range ordered {
-			loc, err := bs.s.ix.QueryProbs(q, eps)
-			if err != nil {
-				ps.sc.Cand, ps.sc.Loc, ps.sc.Probs = cands, owners, pis
-				return nil, fmt.Errorf("shard merge: %w", err)
-			}
-			for _, pr := range loc {
-				cands = append(cands, bs.s.ids[pr.I])
-				owners = append(owners, si)
-				pis = append(pis, pr.P)
-			}
-		}
-		ps.sc.Cand, ps.sc.Loc, ps.sc.Probs = cands, owners, pis
-		total := 0.0
-		for ci, gi := range cands {
-			p := pis[ci] * sx.conditionalCrossSurvival(q, gi, ordered, owners[ci])
-			if p > 0 {
-				out = append(out, quantify.Prob{I: gi, P: p})
-				total += p
-			}
-		}
-		// With the conditioned weights the merged vector already sums to 1
-		// in the limit; the renormalization only absorbs the per-shard
-		// estimators' residual noise (Monte-Carlo variance, integral
-		// discretization).
-		if total > 0 {
-			for i := range out {
-				out[i].P /= total
-			}
+	}
+	// With the conditioned weights the merged vector already sums to 1
+	// in the limit; the renormalization only absorbs the per-shard
+	// estimators' residual noise (Monte-Carlo variance, integral
+	// discretization).
+	if total > 0 {
+		for i := range out {
+			out[i].P /= total
 		}
 	}
 	slices.SortFunc(out, func(a, b quantify.Prob) int {
@@ -512,6 +512,57 @@ func (sx *ShardedIndex) probsLocked(q geom.Point, eps float64, slot int) ([]quan
 		}
 	})
 	return out, nil
+}
+
+// discreteProbs is the exact discrete π merge (see the package comment
+// for why every contributing r is ≤ m1): the NN≠0 scan, then, with C
+// the scanned rows with δ_j ≤ m1 in ascending id,
+//
+//	π_i(q) = Σ_a w_ia · Π_{j∈C, j≠i, δ_j ≤ r_ia} (1 − G_j(q, r_ia))
+//
+// for each NN≠0 member i of C, stopping at 0. A factor skipped by
+// δ_j > r (inside C or out) has G_j(r) = 0 exactly; every other π is 0
+// by Lemma 2.1.
+func (sx *ShardedIndex) discreteProbs(f *kernel.Flat, q geom.Point, slot int, ps *planScratch) []quantify.Prob {
+	ls := sx.lemmaScan(f, q, ps, slot)
+	comp := ps.sc.Cand[:0]
+	for _, bs := range ps.parts[:ls.cut] {
+		for _, j := range bs.s.ids {
+			if ls.deltas[j] <= ls.m1 {
+				comp = append(comp, j)
+			}
+		}
+	}
+	slices.Sort(comp)
+	ps.sc.Cand = comp
+
+	var out []quantify.Prob
+	for _, i := range comp {
+		if !ls.nonzero(i) {
+			continue
+		}
+		total := 0.0
+		for a := f.Off[i]; a < f.Off[i+1]; a++ {
+			r := math.Hypot(q.X-f.Xs[a], q.Y-f.Ys[a])
+			prod := 1.0
+			for _, j := range comp {
+				if j == i || ls.deltas[j] > r {
+					continue
+				}
+				g := 1 - f.DistCDF(j, q.X, q.Y, r)
+				if g <= 0 {
+					prod = 0
+					break
+				}
+				prod *= g
+			}
+			total += f.W[a] * prod
+		}
+		if total > 0 {
+			out = append(out, quantify.Prob{I: i, P: total})
+		}
+	}
+	return out
 }
 
 // distCDF returns G_i(q, r) = Pr[d(q, P_i) ≤ r] in the planner's
@@ -599,47 +650,6 @@ func (sx *ShardedIndex) survival(q geom.Point, r float64, t boundedShard, skip i
 		prod *= f
 	}
 	return prod
-}
-
-// exactPi evaluates the global Eq. (2) value for discrete candidate gi:
-//
-//	π_i(q) = Σ_a w_ia · Π_{j≠i} (1 − G_j(q, d(q, p_ia)))
-//
-// where the product runs over every shard — in-shard competitors and the
-// cross-shard renormalization alike — with shard-level pruning on the
-// survival factors. This reproduces the monolithic exact sweep. The
-// candidate's locations are read off the flat rows when the dataset has
-// them (same order, same arithmetic as the AoS loop).
-func (sx *ShardedIndex) exactPi(q geom.Point, gi int, ordered []boundedShard) float64 {
-	if f := sx.flat; f != nil && f.Kind == kernel.KindDiscrete {
-		total := 0.0
-		for a := f.Off[gi]; a < f.Off[gi+1]; a++ {
-			r := math.Hypot(q.X-f.Xs[a], q.Y-f.Ys[a])
-			prod := 1.0
-			for _, t := range ordered {
-				prod *= sx.survival(q, r, t, gi)
-				if prod == 0 {
-					break
-				}
-			}
-			total += f.W[a] * prod
-		}
-		return total
-	}
-	p := sx.ds.Discrete[gi]
-	total := 0.0
-	for a, loc := range p.Locs {
-		r := q.Dist(loc)
-		prod := 1.0
-		for _, t := range ordered {
-			prod *= sx.survival(q, r, t, gi)
-			if prod == 0 {
-				break
-			}
-		}
-		total += p.W[a] * prod
-	}
-	return total
 }
 
 // conditionalCrossSurvival estimates, for a continuous candidate, the

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"unn/internal/constructions"
@@ -294,4 +296,170 @@ func TestShardedThroughEngine(t *testing.T) {
 	if hits, _ := eng.CacheStats(); hits == 0 {
 		t.Fatal("repeated sharded queries did not hit the cache")
 	}
+}
+
+// tieDiscrete draws n discrete points on the integer grid [0,side]²
+// with 1, 2 or 4 equally weighted locations — dyadic weights, so every
+// cdf sum and survival factor of Eq. (2) is exact in floating point and
+// the support of π is decidable without a noise floor. A fifth of the
+// points duplicate an earlier point outright and another fifth reuse one
+// of an earlier point's locations, so coincident locations are common.
+func tieDiscrete(rng *rand.Rand, n, side int) []*uncertain.Discrete {
+	gridPt := func() geom.Point {
+		return geom.Pt(float64(rng.Intn(side+1)), float64(rng.Intn(side+1)))
+	}
+	pts := make([]*uncertain.Discrete, 0, n)
+	for len(pts) < n {
+		k := 1 << rng.Intn(3)
+		locs := make([]geom.Point, k)
+		for a := range locs {
+			locs[a] = gridPt()
+		}
+		if len(pts) > 0 {
+			prev := pts[rng.Intn(len(pts))]
+			switch rng.Intn(5) {
+			case 0:
+				locs = append([]geom.Point(nil), prev.Locs...)
+			case 1:
+				locs[0] = prev.Locs[rng.Intn(len(prev.Locs))]
+			}
+		}
+		pts = append(pts, uncertain.UniformDiscrete(locs))
+	}
+	return pts
+}
+
+// TestShardedProbsExact: the sharded discrete π merge (the fused
+// Lemma 2.1 scan plus Eq. (2) over the competitors with δ_j ≤ m1)
+// reproduces quantify's exact Eq. (2) sweep over all n points — the
+// identical support set and every value within 1e-12 — and top-k is
+// topKSelect of that same vector. The data is built to hit the ties the
+// reduction must get right: duplicated points, locations shared across
+// shard boundaries, and integer-grid queries where a competitor's δ_j
+// equals m1 exactly. It runs on the built fleet, with a non-empty
+// insert buffer, and after deletes.
+func TestShardedProbsExact(t *testing.T) {
+	const side = 12
+	var qs []geom.Point
+	for x := -1; x <= side+1; x++ {
+		for y := -1; y <= side+1; y++ {
+			qs = append(qs, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	for _, k := range []int{2, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0x9e2 + int64(k)))
+			ref := tieDiscrete(rng, 48, side)
+			ix, err := BuildSharded(BackendBrute, FromDiscrete(slices.Clone(ref)), BuildOptions{},
+				ShardOptions{Shards: k, InsertBuffer: true, FlushThreshold: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sx := ix.(*ShardedIndex)
+			if !sharesLocationAcrossShards(sx, ref) {
+				t.Fatal("no location is shared across a shard boundary: the data misses the tie case")
+			}
+			check := func(phase string) {
+				t.Helper()
+				if ties := exactM1Ties(ref, qs); ties == 0 {
+					t.Fatalf("%s: no query has a competitor with δ_j = m1", phase)
+				}
+				for _, q := range qs {
+					got, err := sx.QueryProbs(q, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := quantify.ExactAt(ref, q)
+					var support []int
+					for i, p := range want {
+						if p > 0 {
+							support = append(support, i)
+						}
+					}
+					var gotSupport []int
+					for _, pr := range got {
+						gotSupport = append(gotSupport, pr.I)
+						if d := math.Abs(pr.P - want[pr.I]); d > 1e-12 {
+							t.Fatalf("%s q=%v: π_%d = %v, want %v", phase, q, pr.I, pr.P, want[pr.I])
+						}
+					}
+					if !slices.Equal(gotSupport, support) {
+						t.Fatalf("%s q=%v: support %v, want %v", phase, q, gotSupport, support)
+					}
+					for _, kk := range []int{1, 3} {
+						top, err := sx.QueryTopK(q, kk, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := topKSelect(got, kk); !reflect.DeepEqual(top, want) {
+							t.Fatalf("%s q=%v: top-%d %v, want %v", phase, q, kk, top, want)
+						}
+					}
+				}
+			}
+			check("built")
+
+			// Inserts land in the insert buffer (below its flush threshold):
+			// duplicates of live points and fresh grid points.
+			extra := tieDiscrete(rng, 6, side)
+			extra = append(extra, uncertain.UniformDiscrete(append([]geom.Point(nil), ref[0].Locs...)))
+			for _, p := range extra {
+				if _, err := sx.Insert(Item{Point: p}); err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, p)
+			}
+			if buffered, _, _ := sx.BufferStats(); buffered == 0 {
+				t.Fatal("insert buffer is empty after inserts")
+			}
+			check("buffered")
+
+			for _, i := range []int{5, 0, 30, 50} { // 50: a buffered insert
+				if _, err := sx.Delete(i); err != nil {
+					t.Fatal(err)
+				}
+				ref = slices.Delete(ref, i, i+1)
+			}
+			check("deleted")
+		})
+	}
+}
+
+// sharesLocationAcrossShards reports whether two points in different
+// built parts have a location in common.
+func sharesLocationAcrossShards(sx *ShardedIndex, pts []*uncertain.Discrete) bool {
+	owner := make(map[geom.Point]*shard)
+	shared := false
+	sx.queryParts(func(s *shard) {
+		for _, i := range s.ids {
+			for _, l := range pts[i].Locs {
+				if o, ok := owner[l]; ok && o != s {
+					shared = true
+				}
+				owner[l] = s
+			}
+		}
+	})
+	return shared
+}
+
+// exactM1Ties counts the queries at which some point other than the
+// minimizer of Δ has δ_j = m1 = min_j Δ_j exactly.
+func exactM1Ties(pts []*uncertain.Discrete, qs []geom.Point) int {
+	ties := 0
+	for _, q := range qs {
+		m1, arg1 := math.Inf(1), -1
+		for i, p := range pts {
+			if d := p.MaxDist(q); d < m1 {
+				m1, arg1 = d, i
+			}
+		}
+		for j, p := range pts {
+			if j != arg1 && p.MinDist(q) == m1 {
+				ties++
+				break
+			}
+		}
+	}
+	return ties
 }

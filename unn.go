@@ -248,6 +248,12 @@ const (
 // backend does not support.
 var ErrUnsupported = engine.ErrUnsupported
 
+// ErrInvalidInput is returned by every query entry point (Query*,
+// QueryNonzeroInto, Batch* — reporting the lowest bad index — and
+// Serve, in Answer.Err) for a query point with a NaN or ±Inf
+// coordinate.
+var ErrInvalidInput = engine.ErrInvalidInput
+
 // ErrImmutable is returned by Insert/Delete on a handle whose backend
 // does not support mutations (every monolithic backend; use WithShards
 // for a dynamic handle).

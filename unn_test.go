@@ -3,6 +3,7 @@ package unn_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -270,6 +271,109 @@ func TestHandleServe(t *testing.T) {
 	}
 	if got != 16 {
 		t.Fatalf("drained %d answers, want 16", got)
+	}
+}
+
+// TestQueryRejectsNonFinite: a query point with a NaN or ±Inf
+// coordinate fails with ErrInvalidInput — never a plausible empty
+// answer — through every query entry point (single, Into, batch with the
+// lowest bad index, Serve) of plain, sharded and cached handles, for all
+// four query kinds.
+func TestQueryRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xbad))
+	pts := testDiscretes(t, rng, 40, 3, 30)
+	handles := []struct {
+		name string
+		opts []unn.Option
+	}{
+		{"plain", nil},
+		{"sharded", []unn.Option{unn.WithShards(8)}},
+		{"cached", []unn.Option{unn.WithShards(2), unn.WithAutoCache(64)}},
+	}
+	bad := []unn.Point{
+		unn.Pt(math.NaN(), 5), unn.Pt(5, math.NaN()),
+		unn.Pt(math.Inf(1), 5), unn.Pt(5, math.Inf(-1)),
+	}
+	good := unn.Pt(15, 15)
+	kinds := []unn.Capability{unn.CapNonzero, unn.CapProbs, unn.CapExpected, unn.CapTopK}
+	isInvalid := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if !errors.Is(err, unn.ErrInvalidInput) {
+			t.Fatalf("%s: err = %v, want ErrInvalidInput", what, err)
+		}
+	}
+	for _, hc := range handles {
+		t.Run(hc.name, func(t *testing.T) {
+			h, err := unn.OpenDiscrete(pts, hc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kinds {
+				if !h.Capabilities().Has(k) {
+					t.Fatalf("handle lacks %v", k)
+				}
+			}
+			for _, q := range bad {
+				for rep := 0; rep < 2; rep++ { // a repeat must not hit the cache
+					_, err := h.QueryNonzero(q)
+					isInvalid(t, fmt.Sprintf("QueryNonzero%v", q), err)
+					_, err = h.QueryNonzeroInto(q, nil)
+					isInvalid(t, fmt.Sprintf("QueryNonzeroInto%v", q), err)
+					_, err = h.QueryProbs(q, 0)
+					isInvalid(t, fmt.Sprintf("QueryProbs%v", q), err)
+					_, _, err = h.QueryExpected(q)
+					isInvalid(t, fmt.Sprintf("QueryExpected%v", q), err)
+					_, err = h.QueryTopK(q, 3, 0)
+					isInvalid(t, fmt.Sprintf("QueryTopK%v", q), err)
+				}
+			}
+
+			// Batches report the lowest bad index.
+			qs := []unn.Point{good, bad[1], good, bad[0]}
+			checkBatch := func(what string, err error) {
+				t.Helper()
+				isInvalid(t, what, err)
+				if !strings.Contains(err.Error(), "batch query 1:") {
+					t.Fatalf("%s: err = %v, want the failure at index 1", what, err)
+				}
+			}
+			_, err = h.BatchNonzero(qs)
+			checkBatch("BatchNonzero", err)
+			_, err = h.BatchNonzeroInto(qs, nil)
+			checkBatch("BatchNonzeroInto", err)
+			_, err = h.BatchProbs(qs, 0)
+			checkBatch("BatchProbs", err)
+			_, err = h.BatchExpected(qs)
+			checkBatch("BatchExpected", err)
+			_, err = h.BatchTopK(qs, 3, 0)
+			checkBatch("BatchTopK", err)
+
+			// Serve: each bad query fails alone in Answer.Err, runs of
+			// same-kind queries included; good queries still answer.
+			in := make(chan unn.Query, 4*len(kinds)*len(qs))
+			var seq uint64
+			wantBad := map[uint64]bool{}
+			for _, k := range kinds {
+				for _, q := range qs {
+					wantBad[seq] = q != good
+					in <- unn.Query{Seq: seq, Kind: k, Q: q, K: 3}
+					seq++
+				}
+			}
+			close(in)
+			n := 0
+			for a := range h.Serve(context.Background(), in) {
+				n++
+				if wantBad[a.Seq] {
+					isInvalid(t, fmt.Sprintf("Serve seq %d (%v)", a.Seq, a.Kind), a.Err)
+				} else if a.Err != nil {
+					t.Fatalf("Serve seq %d (%v): %v", a.Seq, a.Kind, a.Err)
+				}
+			}
+			if n != int(seq) {
+				t.Fatalf("Serve answered %d of %d queries", n, seq)
+			}
+		})
 	}
 }
 
