@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck test test-serial race bench-smoke bench bench-allocs bench-json benchdiff snapshot-roundtrip fuzz-short examples clean
+.PHONY: verify build vet fmtcheck test test-serial race bench-smoke bench bench-allocs bench-json benchdiff ab snapshot-roundtrip fuzz-short examples clean
 
 # The tier-1 gate: everything CI runs.
 verify: build vet fmtcheck test test-serial race bench-smoke
@@ -99,6 +99,18 @@ benchdiff:
 	else \
 		echo "benchdiff: no previous artifact at $(OLD); skipping"; \
 	fi
+
+# Interleaved A/B of the repository benchmark: N pairs of perfbench
+# runs of workload W, revision OLD against the working tree, alternating
+# which side runs first; prints median, quartiles and wins per
+# end-to-end metric (bench/ab.sh). Example:
+#   make ab OLD=HEAD~1 W=uniq N=10
+W ?= uniq
+N ?= 10
+SEED ?= 1001
+SECS ?= 30
+ab:
+	bash bench/ab.sh "$(OLD)" "$(W)" "$(N)" "$(SEED)" "$(SECS)"
 
 examples:
 	$(GO) run ./examples/quickstart

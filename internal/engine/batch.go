@@ -185,6 +185,11 @@ type ShardKindCounts struct {
 	// Counts is indexed by registry slot (kindSlot order: the same order
 	// Stats.Kinds uses).
 	Counts [NumKinds]uint64
+	// Rows is indexed like Counts: the rows the Lemma 2.1 scan evaluated
+	// in the shard. Rows/Counts is the mean scan length per visit, which
+	// block pruning keeps far below the shard size. Only the scan's
+	// kinds (NN≠0, and discrete π and top-k) count rows.
+	Rows [NumKinds]uint64
 }
 
 // Stats is a snapshot of an Engine's counters: per-kind query latencies

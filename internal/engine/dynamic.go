@@ -184,13 +184,14 @@ func (sx *ShardedIndex) splitOversized() error {
 	return nil
 }
 
-// checkItem validates a mutation payload against the dataset kind.
+// checkItem validates a mutation payload against the dataset kind, and
+// its region against the boundary contract (checkRegion/checkPoint).
 func (sx *ShardedIndex) checkItem(it Item) error {
 	if sx.ds.Squares != nil {
 		if it.Square == nil {
 			return fmt.Errorf("sharded(%s): dataset holds squares; Insert needs Item.Square", sx.name)
 		}
-		return nil
+		return checkRegion("square", it.Square.C, it.Square.R)
 	}
 	if it.Point == nil {
 		return fmt.Errorf("sharded(%s): dataset holds uncertain points; Insert needs Item.Point", sx.name)
@@ -205,7 +206,7 @@ func (sx *ShardedIndex) checkItem(it Item) error {
 			return fmt.Errorf("sharded(%s): dataset is all-disk; inserting a %T would drop the disk specialization", sx.name, it.Point)
 		}
 	}
-	return nil
+	return checkPoint(it.Point)
 }
 
 // routeShard picks the owning shard for a new centroid: the non-empty
@@ -235,10 +236,11 @@ func (sx *ShardedIndex) refreshBounds(s *shard) {
 }
 
 // rebuildShard re-projects the shard's sub-dataset and rebuilds its
-// backend; only mutated shards pay this cost. The replaced backend's
-// SoA mirror goes back to the recycle pool — the write lock excludes
-// queries, so nothing can still be reading it — keeping sustained churn
-// (the insert buffer rebuilds on every insert) off the allocator.
+// backend and block index; only mutated shards pay this cost. The
+// replaced backend's SoA mirror goes back to the recycle pool — the
+// write lock excludes queries, so nothing can still be reading it —
+// keeping sustained churn (the insert buffer rebuilds on every insert)
+// off the allocator.
 func (sx *ShardedIndex) rebuildShard(s *shard) error {
 	s.sub = subset(sx.ds, s.ids)
 	old := s.ix
@@ -247,6 +249,7 @@ func (sx *ShardedIndex) rebuildShard(s *shard) error {
 		return fmt.Errorf("sharded(%s): rebuild shard: %w", sx.name, err)
 	}
 	s.ix = ix
+	s.blocks = sx.blocksFor(s.ids)
 	if ob, ok := old.(*bruteIndex); ok && ob.flat != nil {
 		recycleShardFlat(ob.flat)
 		ob.flat = nil

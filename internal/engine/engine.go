@@ -98,8 +98,68 @@ var ErrInvalidInput = errors.New("engine: invalid input")
 
 // checkQuery returns ErrInvalidInput unless q has finite coordinates.
 func checkQuery(q geom.Point) error {
-	if math.IsNaN(q.X) || math.IsNaN(q.Y) || math.IsInf(q.X, 0) || math.IsInf(q.Y, 0) {
+	if !finitePt(q) {
 		return fmt.Errorf("%w: query point (%v, %v) is not finite", ErrInvalidInput, q.X, q.Y)
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// finitePt reports whether both coordinates of p are finite.
+func finitePt(p geom.Point) bool { return finite(p.X) && finite(p.Y) }
+
+// checkRegion returns ErrInvalidInput unless a disk or square region has
+// a finite centre and a finite, non-negative radius. A NaN radius makes
+// every distance comparison false, so the region would silently never
+// be reported (and its block never scanned); a negative one inverts its
+// bounding box.
+func checkRegion(kind string, c geom.Point, r float64) error {
+	if !finitePt(c) || !finite(r) || r < 0 {
+		return fmt.Errorf("%w: %s at (%v, %v) with radius %v needs a finite centre and a finite radius ≥ 0",
+			ErrInvalidInput, kind, c.X, c.Y, r)
+	}
+	return nil
+}
+
+// checkPoint validates one uncertain point's region: disk-shaped points
+// by centre and radius, discrete points by every location, anything
+// else by a finite, non-inverted support box.
+func checkPoint(p uncertain.Point) error {
+	if p == nil {
+		return fmt.Errorf("%w: nil uncertain point", ErrInvalidInput)
+	}
+	if d, ok := diskOf(p); ok {
+		return checkRegion("disk", d.C, d.R)
+	}
+	if d, ok := p.(*uncertain.Discrete); ok {
+		for _, l := range d.Locs {
+			if !finitePt(l) {
+				return fmt.Errorf("%w: discrete location (%v, %v) is not finite", ErrInvalidInput, l.X, l.Y)
+			}
+		}
+		return nil
+	}
+	if b := p.Support(); !finitePt(b.Min) || !finitePt(b.Max) || b.Min.X > b.Max.X || b.Min.Y > b.Max.Y {
+		return fmt.Errorf("%w: %T has support %v", ErrInvalidInput, p, b)
+	}
+	return nil
+}
+
+// CheckDataset returns an error wrapping ErrInvalidInput for the
+// lowest-indexed item of ds whose region no answer can be correct for:
+// a non-finite centre or location, or a NaN, ±Inf or negative radius.
+func CheckDataset(ds *Dataset) error {
+	for i := range ds.Squares {
+		if err := checkRegion("square", ds.Squares[i].C, ds.Squares[i].R); err != nil {
+			return fmt.Errorf("engine: item %d: %w", i, err)
+		}
+	}
+	for i, p := range ds.Points {
+		if err := checkPoint(p); err != nil {
+			return fmt.Errorf("engine: item %d: %w", i, err)
+		}
 	}
 	return nil
 }

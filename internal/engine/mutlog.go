@@ -199,10 +199,11 @@ func (sx *ShardedIndex) shardForInsert(gi int) *shard {
 
 // applyDelete removes global item i from the views and every shard's id
 // list (the dense remap: ids above i shift down by one, in the main
-// shards and the insert buffer alike) without rebuilding; the owning
-// shard is marked dirty for finishEpoch, and shrunk because its
-// bounding box may have tightened (inserts only grow boxes, so only
-// delete-touched shards pay the bounds recompute).
+// shards and the insert buffer alike, in their block orders as in their
+// id lists) without rebuilding; the owning shard is marked dirty for
+// finishEpoch, and shrunk because its bounding box may have tightened
+// (inserts only grow boxes, so only delete-touched shards pay the
+// bounds recompute).
 func (sx *ShardedIndex) applyDelete(i int, dirty, shrunk map[*shard]bool) error {
 	var owner *shard
 	remap := func(s *shard) {
@@ -214,6 +215,7 @@ func (sx *ShardedIndex) applyDelete(i int, dirty, shrunk map[*shard]bool) error 
 		for j := sort.SearchInts(s.ids, i); j < len(s.ids); j++ {
 			s.ids[j]--
 		}
+		s.blocks.shiftAbove(i)
 	}
 	for _, s := range sx.shards {
 		remap(s)
@@ -408,7 +410,7 @@ func (sx *ShardedIndex) rebuildDirty(dirty map[*shard]bool) error {
 	}
 	if sx.buf != nil && dirty[sx.buf] {
 		if len(sx.buf.ids) == 0 {
-			sx.buf.sub, sx.buf.ix = nil, nil
+			sx.buf.sub, sx.buf.ix, sx.buf.blocks = nil, nil, blockIndex{}
 		} else {
 			todo = append(todo, sx.buf)
 		}

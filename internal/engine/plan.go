@@ -1,36 +1,41 @@
 // The merge planner: how a ShardedIndex answers each query kind by
 // combining per-shard answers.
 //
-// All three planners share one pruning primitive: a shard whose
-// bounding-box lower-bound distance (in the backend's metric) is at
-// least the current best upper bound cannot contribute — every extreme
-// distance of its members is at least that lower bound. Shards are
-// visited in ascending lower-bound order so the bound tightens as early
-// as possible.
+// All three planners share one pruning primitive: a part (a main shard
+// or the insert buffer) whose bounding-box lower-bound distance (in the
+// backend's metric) is at least the current best upper bound cannot
+// contribute — every extreme distance of its members is at least that
+// lower bound. Parts are visited in ascending lower-bound order so the
+// bound tightens as early as possible.
 //
 //   - QueryNonzero applies the global Lemma 2.1 predicate
 //     δ_i(q) < min_{j≠i} Δ_j(q) directly. On the flat path (every
-//     dataset with a kernel.Flat mirror) one fused SoA pass over the
-//     unpruned shards stages each member's δ_i and folds its Δ_i into
-//     the two-smallest scan, and the filter then reads the staged δ's —
-//     no per-shard backend calls, and half the distance evaluations of
-//     the two-pass AoS oracle. Pruned shards cannot qualify (δ_i ≥ lb ≥
-//     m2 ≥ the filter bound, which the strict < rejects) nor shift
-//     m1/m2 (their Δ's are ≥ lb), so the answer is the monolithic
-//     oracle's, bit for bit. Datasets without a flat mirror keep the
+//     dataset with a kernel.Flat mirror) one fused scan, lemmaScan,
+//     stages each scanned row's δ_i and folds its Δ_i into the two
+//     smallest m1 ≤ m2 — no per-shard backend calls, and half the
+//     distance evaluations of the two-pass AoS oracle. The scan prunes
+//     at two granularities under one stop rule, lb ≥ m2 && lb > m1:
+//     whole parts, and inside each surviving part the 64-row blocks of
+//     its block index (blocks.go), visited best-first by box lower
+//     bound. A pruned part or block holds rows with Δ ≥ δ ≥ lb ≥ the
+//     final m2, so they cannot shift m1/m2 nor pass the strict < of the
+//     filter, and the answer is the monolithic oracle's, bit for bit.
+//     The scan records the id spans it evaluated, and the filter reads
+//     only those: the pooled δ row still holds earlier queries' values
+//     everywhere else. Datasets without a flat mirror keep the
 //     historical merge: shard answers supply the candidates (each
 //     shard's NN≠0 set is a superset of its members' global NN≠0 set)
 //     and the same global filter reproduces the monolithic answer.
 //   - QueryProbs on discrete datasets evaluates Eq. (2) exactly, with no
-//     per-shard backend calls. One fused ScanTwoMin pass, the NN≠0
-//     scan, stages δ_j and the two smallest Δ's m1 ≤ m2; it runs while
-//     lb < m2 || lb ≤ m1. A location of P_i at distance r contributes
-//     only while every other point may still be farther (G_j(r) < 1
-//     needs r < Δ_j): r < Δ_arg1 = m1 for i ≠ arg1, r ≤ Δ_i = m1 for
-//     i = arg1, so every contributing r is ≤ m1. Rows with
-//     δ_j > m1 therefore have G_j(r) = 0 exactly — a factor of 1 — and
-//     Eq. (2) runs over the competitors C = {scanned j : δ_j ≤ m1} for
-//     the NN≠0 members of C only (Lemma 2.1: π is 0 elsewhere). The
+//     per-shard backend calls, on the same scan. A location of P_i at
+//     distance r contributes only while every other point may still be
+//     farther (G_j(r) < 1 needs r < Δ_j): r < Δ_arg1 = m1 for
+//     i ≠ arg1, r ≤ Δ_i = m1 for i = arg1, so every contributing r is
+//     ≤ m1. Rows with δ_j > m1 therefore have G_j(r) = 0 exactly — a
+//     factor of 1 — and Eq. (2) runs over the competitors
+//     C = {scanned j : δ_j ≤ m1} for the NN≠0 members of C only
+//     (Lemma 2.1: π is 0 elsewhere). A pruned block's rows have
+//     δ_j ≥ lb > m1, so C is the same set the full scan finds. The
 //     vector is exact whatever the shard backends are, spiral and
 //     Monte-Carlo shards included. On continuous datasets the merge
 //     combines per-shard sparse π vectors under the independence model:
@@ -45,9 +50,9 @@
 //   - QueryExpected min-reduces the per-shard expected-distance winners,
 //     tie-breaking on the global index.
 //
-// Every planner runs on a pooled planScratch (shard order, staged δ's,
-// candidate ids), so steady-state queries through the appending entry
-// points allocate nothing.
+// Every planner runs on a pooled planScratch (part order, staged δ's,
+// scanned spans, the block heap, candidate ids), so steady-state
+// queries through the appending entry points allocate nothing.
 package engine
 
 import (
@@ -112,6 +117,10 @@ type boundedShard struct {
 type planScratch struct {
 	sc    kernel.Scratch
 	parts []boundedShard
+	// spans are the id runs (blocks) the last lemmaScan evaluated: the
+	// only rows whose staged δ's belong to the current query.
+	spans [][]int
+	heap  []blockLB
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
@@ -229,13 +238,15 @@ func (sx *ShardedIndex) appendNonzero(q geom.Point, dst []int) ([]int, error) {
 }
 
 // scanned is the state one fused Lemma 2.1 scan leaves: δ_i staged for
-// every row of the scanned parts (ps.parts[:cut]) in a dense row indexed
-// by global id, and the two smallest Δ's m1 ≤ m2, m1 attained by arg1.
+// every row of the scanned spans (planScratch.spans) in a dense row
+// indexed by global id, and the two smallest Δ's m1 ≤ m2, m1 attained
+// by arg1. Rows outside the spans hold δ's of earlier queries (the
+// row is pooled), so every reader iterates the spans, never a part's
+// whole id list.
 type scanned struct {
 	deltas []float64
 	m1, m2 float64
 	arg1   int
-	cut    int
 	single bool // n == 1: the lone point is its own NN≠0 answer
 }
 
@@ -249,14 +260,27 @@ func (ls *scanned) nonzero(i int) bool {
 	return ls.deltas[i] < bound || ls.single
 }
 
-// lemmaScan runs one kernel.Flat.ScanTwoMin pass per part of ps.parts
-// (sorted by lower bound lb) and counts a visit in slot for each part it
-// scans. It stops at the first part with lb ≥ m2 and lb > m1; lb only
-// grows along the order, so no later part is needed either. Such a part
-// cannot lower m1/m2 (its Δ's are ≥ lb), holds no NN≠0 member (its δ's
-// are ≥ lb ≥ m2, which the strict < of the filter rejects) and no row
-// with δ_j ≤ m1 — so every row with δ_j ≤ m1, the competitor set of the
-// π merge, is among the scanned ones.
+// pruned is the Lemma 2.1 stop rule for a part or block whose regions
+// all lie at distance ≥ lb from q: every row there has Δ ≥ δ ≥ lb, so
+// once lb ≥ m2 and lb > m1 none can lower m1/m2, pass the strict <
+// filter, or have δ_j ≤ m1.
+func (ls *scanned) pruned(lb float64) bool { return lb >= ls.m2 && lb > ls.m1 }
+
+// lemmaScan is the fused Lemma 2.1 scan shared by NN≠0, π and top-k.
+// It walks ps.parts (sorted by lower bound) and stops at the first part
+// the rule prunes; lb only grows along the order, so no later part is
+// needed either. Inside each surviving part it visits the blocks
+// best-first by box lower bound under the same rule, folds each one into
+// (m1, m2, arg1) with one kernel.Flat.ScanTwoMin pass, and records its
+// ids in ps.spans. It counts a visit per surviving part and the rows
+// evaluated there in slot.
+//
+// A pruned block is a pruned part on a smaller box: its rows' δ, Δ ≥ lb
+// ≥ the final m2 (m1/m2 only shrink as the scan goes on, so the rule
+// holding once keeps holding), so they cannot move m1/m2, cannot pass
+// the filter, and are not in the π merge's competitor set C (δ_j ≤ m1).
+// The spans therefore hold every row any reader needs, and the answers
+// are the full scan's, bit for bit.
 func (sx *ShardedIndex) lemmaScan(f *kernel.Flat, q geom.Point, ps *planScratch, slot int) scanned {
 	deltas := ps.sc.Dists
 	if cap(deltas) < f.N {
@@ -264,13 +288,32 @@ func (sx *ShardedIndex) lemmaScan(f *kernel.Flat, q geom.Point, ps *planScratch,
 		ps.sc.Dists = deltas
 	}
 	ls := scanned{deltas: deltas[:f.N], m1: math.Inf(1), m2: math.Inf(1), arg1: -1, single: sx.n == 1}
+	ps.spans = ps.spans[:0]
 	for _, bs := range ps.parts {
-		if bs.lb >= ls.m2 && bs.lb > ls.m1 {
+		if ls.pruned(bs.lb) {
 			break
 		}
-		bs.s.visits[slot].Add(1)
-		ls.m1, ls.m2, ls.arg1 = f.ScanTwoMin(bs.s.ids, q.X, q.Y, ls.deltas, ls.m1, ls.m2, ls.arg1)
-		ls.cut++
+		s := bs.s
+		s.visits[slot].Add(1)
+		rows := 0
+		h := ps.heap[:0]
+		for b, box := range s.blocks.boxes {
+			h = append(h, blockLB{lb: sx.metric.rectDist(q, box), b: int32(b)})
+		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			heapDown(h, i)
+		}
+		for len(h) > 0 && !ls.pruned(h[0].lb) {
+			ids := s.blocks.block(int(h[0].b))
+			ls.m1, ls.m2, ls.arg1 = f.ScanTwoMin(ids, q.X, q.Y, ls.deltas, ls.m1, ls.m2, ls.arg1)
+			ps.spans = append(ps.spans, ids)
+			rows += len(ids)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			heapDown(h, 0)
+		}
+		ps.heap = h
+		s.rows[slot].Add(uint64(rows))
 	}
 	return ls
 }
@@ -300,8 +343,8 @@ func (sx *ShardedIndex) nonzeroInto(q geom.Point, dst []int, ps *planScratch) ([
 		// Flat path: the global predicate straight off the staged δ's —
 		// no backend calls.
 		ls := sx.lemmaScan(f, q, ps, slotNonzero)
-		for _, bs := range ordered[:ls.cut] {
-			for _, i := range bs.s.ids {
+		for _, ids := range ps.spans {
+			for _, i := range ids {
 				if ls.nonzero(i) {
 					dst = append(dst, i)
 				}
@@ -526,8 +569,8 @@ func (sx *ShardedIndex) probsLocked(q geom.Point, eps float64, slot int) ([]quan
 func (sx *ShardedIndex) discreteProbs(f *kernel.Flat, q geom.Point, slot int, ps *planScratch) []quantify.Prob {
 	ls := sx.lemmaScan(f, q, ps, slot)
 	comp := ps.sc.Cand[:0]
-	for _, bs := range ps.parts[:ls.cut] {
-		for _, j := range bs.s.ids {
+	for _, ids := range ps.spans {
+		for _, j := range ids {
 			if ls.deltas[j] <= ls.m1 {
 				comp = append(comp, j)
 			}

@@ -120,12 +120,19 @@ type shard struct {
 	sub  *Dataset
 	ix   Index
 	bbox geom.Rect
+	// blocks is the part's scan layout for the Lemma 2.1 scan (blocks.go),
+	// derived whenever ix is built, rebuilt or restored.
+	blocks blockIndex
 	// visits counts the queries per registered kind that actually scanned
 	// this shard — merges that prune the shard by its lower bound do not
 	// count it. Read by Engine.Stats (ShardQueries); the counters live on
 	// the shard struct, so they survive in-place rebuilds and reset when
 	// rebalancing replaces the shard.
 	visits [numKinds]atomic.Uint64
+	// rows counts, per kind, the rows the Lemma 2.1 scan evaluated in
+	// this shard (Stats.ShardQueries[].Rows): rows/visit is the block
+	// pruning's reach inside the shard.
+	rows [numKinds]atomic.Uint64
 	// rates is the windowed per-kind EWMA of visits — the shard's workload
 	// profile, maintained by the adaptive replanning loop (adaptive.go):
 	// each observation window folds the visit delta since the previous
@@ -473,8 +480,8 @@ func flatForDatasetInto(prev *kernel.Flat, ds *Dataset, m qmetric) *kernel.Flat 
 	}
 }
 
-// Build implements Index: partition, then build one backend instance per
-// non-empty shard in parallel (bounded by BuildWorkers).
+// Build implements Index: partition, then build one backend instance and
+// block index per non-empty shard in parallel (bounded by BuildWorkers).
 func (sx *ShardedIndex) Build(ds *Dataset) error {
 	n := ds.N()
 	if n == 0 {
@@ -535,6 +542,7 @@ func (sx *ShardedIndex) Build(ds *Dataset) error {
 				return
 			}
 			s.ix = ix
+			s.blocks = sx.blocksFor(s.ids)
 		}()
 	}
 	wg.Wait()
@@ -616,6 +624,7 @@ func (sx *ShardedIndex) Explain() string {
 		} else {
 			fmt.Fprintf(&sb, "  shard %d: %d items → %s\n", si, len(s.ids), name)
 		}
+		explainBlocks(&sb, s)
 	}
 	if sx.buf != nil {
 		name := "(empty)"
@@ -624,8 +633,19 @@ func (sx *ShardedIndex) Explain() string {
 		}
 		fmt.Fprintf(&sb, "  insert buffer: %d items (flush at %d) → %s\n",
 			len(sx.buf.ids), sx.flushThreshold(), name)
+		explainBlocks(&sb, sx.buf)
 	}
 	return sb.String()
+}
+
+// explainBlocks adds a part's block-index line: how many blocks the
+// Lemma 2.1 scan chooses among inside the part. A one-block part is
+// pruned only as a whole, like before block indexes, so it prints no
+// line.
+func explainBlocks(sb *strings.Builder, s *shard) {
+	if nb := len(s.blocks.boxes); nb > 1 {
+		fmt.Fprintf(sb, "    scan blocks: %d × %.1f rows\n", nb, float64(len(s.blocks.order))/float64(nb))
+	}
 }
 
 // shardQueryStats snapshots the per-shard per-kind visit counters
@@ -640,6 +660,7 @@ func (sx *ShardedIndex) shardQueryStats() []ShardKindCounts {
 		out[si].Shard = si
 		for k := range s.visits {
 			out[si].Counts[k] = s.visits[k].Load()
+			out[si].Rows[k] = s.rows[k].Load()
 		}
 	}
 	return out

@@ -816,6 +816,11 @@ func decodeDataset(payload []byte, wantN int) (*decodedDataset, error) {
 		if len(cx) != wantN || len(cy) != wantN || len(r) != wantN {
 			return nil, errCorrupt("dataset rows %d/%d/%d disagree with meta n=%d", len(cx), len(cy), len(r), wantN)
 		}
+		for i := range r {
+			if err := checkRegion("region", geom.Pt(cx[i], cy[i]), r[i]); err != nil {
+				return nil, errCorrupt("dataset row %d: %v", i, err)
+			}
+		}
 		dd.cx, dd.cy, dd.r = cx, cy, r
 		if kind == dsKindSquares {
 			sqs := make([]lmetric.Square, wantN)
@@ -1043,6 +1048,7 @@ func restoreSharded(sr *snapshot.Reader, meta *snapMeta, dd *decodedDataset) (*S
 				return nil, fmt.Errorf("insert buffer rebuild: %w", err)
 			}
 			sx.buf.ix = ix
+			sx.buf.blocks = sx.blocksFor(ids)
 		}
 	}
 
@@ -1103,6 +1109,7 @@ func decodeShard(sr *snapshot.Reader, si int, sm *snapShard, sx *ShardedIndex) (
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
+		s.blocks = sx.blocksFor(ids)
 	}
 	return s, nil
 }

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"unn/internal/constructions"
 	"unn/internal/geom"
+	"unn/internal/lmetric"
+	"unn/internal/snapshot"
 	"unn/internal/uncertain"
 )
 
@@ -316,6 +320,46 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[pos] ^= 0xff
 		_, _ = ReadSnapshot(bytes.NewReader(bad))
+	}
+}
+
+// TestSnapshotRejectsBadRegions: decode refuses a dataset row with a
+// non-finite centre or a NaN, ±Inf or negative radius — rows the
+// public constructors reject (CheckDataset), written here through the
+// unchecked engine builders — so a restored index never holds a region
+// its answers cannot be correct for.
+func TestSnapshotRejectsBadRegions(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []geom.Disk{
+		geom.DiskAt(3, 3, nan), geom.DiskAt(3, 3, -1), geom.DiskAt(3, 3, inf), geom.DiskAt(inf, 3, 1),
+	} {
+		disks := []geom.Disk{geom.DiskAt(0, 0, 1), bad, geom.DiskAt(6, 6, 1)}
+		if err := CheckDataset(FromDisks(disks)); !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("CheckDataset(%v) = %v, want ErrInvalidInput", bad, err)
+		}
+		ix, err := BuildSharded(BackendBrute, FromDisks(disks), BuildOptions{}, ShardOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, NewEngine(ix, Options{})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("ReadSnapshot with disk %v: err = %v, want ErrCorrupt", bad, err)
+		}
+	}
+	sqs := []lmetric.Square{{C: geom.Pt(0, 0), R: 1}, {C: geom.Pt(nan, 1), R: 1}}
+	ix, err := BuildSharded(BackendTwoStageLinf, FromSquares(sqs), BuildOptions{}, ShardOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, NewEngine(ix, Options{})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("ReadSnapshot with a NaN square centre: err = %v, want ErrCorrupt", err)
 	}
 }
 

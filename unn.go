@@ -251,7 +251,10 @@ var ErrUnsupported = engine.ErrUnsupported
 // ErrInvalidInput is returned by every query entry point (Query*,
 // QueryNonzeroInto, Batch* — reporting the lowest bad index — and
 // Serve, in Answer.Err) for a query point with a NaN or ±Inf
-// coordinate.
+// coordinate, and by Open*, Insert, InsertSquare and BatchMutate for an
+// uncertainty region with a non-finite centre or location or a NaN,
+// ±Inf or negative radius (reporting the lowest bad index; nothing is
+// built or applied).
 var ErrInvalidInput = engine.ErrInvalidInput
 
 // ErrImmutable is returned by Insert/Delete on a handle whose backend
@@ -637,6 +640,9 @@ func (h *Handle) Explain() string { return h.Engine.Explain() }
 func (h *Handle) Replan() (bool, error) { return h.Engine.Replan() }
 
 func openDataset(ds *engine.Dataset, opts []Option) (*Handle, error) {
+	if err := engine.CheckDataset(ds); err != nil {
+		return nil, fmt.Errorf("unn: %w", err)
+	}
 	cfg := openConfig{backend: BackendAuto}
 	for _, o := range opts {
 		o(&cfg)

@@ -377,6 +377,125 @@ func TestQueryRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestRegionsRejectNonFinite is the build-and-insert half of the
+// boundary contract: a region with a non-finite centre or location, or
+// a NaN, ±Inf or negative radius, fails with ErrInvalidInput at Open*,
+// Insert, InsertSquare and BatchMutate — the error names the lowest bad
+// index and nothing is built or applied.
+func TestRegionsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	disks := func(bad unn.Disk) []unn.Disk {
+		return []unn.Disk{unn.DiskAt(0, 0, 1), unn.DiskAt(5, 0, 1), bad, unn.DiskAt(9, 9, 1), bad}
+	}
+	squares := func(bad unn.Square) []unn.Square {
+		return []unn.Square{{C: unn.Pt(0, 0), R: 1}, {C: unn.Pt(5, 0), R: 1}, bad, {C: unn.Pt(9, 9), R: 1}, bad}
+	}
+	opens := []struct {
+		name string
+		open func() (*unn.Handle, error)
+	}{
+		{"OpenDisks NaN radius", func() (*unn.Handle, error) { return unn.OpenDisks(disks(unn.DiskAt(3, 3, nan))) }},
+		{"OpenDisks negative radius", func() (*unn.Handle, error) { return unn.OpenDisks(disks(unn.DiskAt(3, 3, -1))) }},
+		{"OpenDisks +Inf radius", func() (*unn.Handle, error) { return unn.OpenDisks(disks(unn.DiskAt(3, 3, inf))) }},
+		{"OpenDisks NaN centre", func() (*unn.Handle, error) { return unn.OpenDisks(disks(unn.DiskAt(nan, 3, 1))) }},
+		{"OpenDisks sharded", func() (*unn.Handle, error) {
+			return unn.OpenDisks(disks(unn.DiskAt(3, 3, nan)), unn.WithShards(2))
+		}},
+		{"OpenSquares +Inf centre", func() (*unn.Handle, error) {
+			return unn.OpenSquares(squares(unn.Square{C: unn.Pt(inf, 3), R: 1}))
+		}},
+		{"OpenSquares -Inf radius", func() (*unn.Handle, error) {
+			return unn.OpenSquares(squares(unn.Square{C: unn.Pt(3, 3), R: math.Inf(-1)}))
+		}},
+		{"OpenSquares negative radius", func() (*unn.Handle, error) {
+			return unn.OpenSquares(squares(unn.Square{C: unn.Pt(3, 3), R: -0.5}), unn.WithShards(2))
+		}},
+		{"Open truncated Gaussian NaN radius", func() (*unn.Handle, error) {
+			pts := unn.Disks(disks(unn.DiskAt(3, 3, 1)))
+			pts[2] = unn.NewTruncGauss(unn.DiskAt(3, 3, nan), 1)
+			pts[4] = pts[2]
+			return unn.Open(pts)
+		}},
+	}
+	for _, tc := range opens {
+		h, err := tc.open()
+		if !errors.Is(err, unn.ErrInvalidInput) {
+			t.Fatalf("%s: err = %v, want ErrInvalidInput", tc.name, err)
+		}
+		if h != nil {
+			t.Fatalf("%s: got a handle with the error", tc.name)
+		}
+		if !strings.Contains(err.Error(), "item 2") {
+			t.Fatalf("%s: err = %v, want it to name the lowest bad index 2", tc.name, err)
+		}
+	}
+
+	dh, err := unn.OpenDisks(disks(unn.DiskAt(3, 3, 1)), unn.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := unn.OpenSquares(squares(unn.Square{C: unn.Pt(3, 3), R: 1}), unn.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := unn.UniformDisk{D: unn.DiskAt(4, 4, 1)}
+	mutations := []struct {
+		name   string
+		h      *unn.Handle
+		mutate func() error
+		at     string // the lowest bad index the error must name
+	}{
+		{"Insert NaN radius", dh, func() error {
+			_, err := dh.Insert(unn.UniformDisk{D: unn.DiskAt(1, 1, nan)})
+			return err
+		}, "mutation 0"},
+		{"Insert +Inf centre", dh, func() error {
+			_, err := dh.Insert(unn.UniformDisk{D: unn.DiskAt(1, inf, 1)})
+			return err
+		}, "mutation 0"},
+		{"InsertSquare negative radius", sh, func() error {
+			_, err := sh.InsertSquare(unn.Square{C: unn.Pt(1, 1), R: -1})
+			return err
+		}, "mutation 0"},
+		{"BatchMutate lowest bad index", dh, func() error {
+			_, err := dh.BatchMutate([]unn.Mutation{
+				unn.InsertMutation(good),
+				unn.DeleteMutation(0),
+				unn.InsertMutation(unn.UniformDisk{D: unn.DiskAt(2, 2, -3)}),
+				unn.InsertMutation(unn.UniformDisk{D: unn.DiskAt(nan, 2, 1)}),
+			})
+			return err
+		}, "mutation 2"},
+		{"BatchMutate square", sh, func() error {
+			_, err := sh.BatchMutate([]unn.Mutation{
+				unn.InsertSquareMutation(unn.Square{C: unn.Pt(2, 2), R: 1}),
+				unn.InsertSquareMutation(unn.Square{C: unn.Pt(nan, 2), R: 1}),
+			})
+			return err
+		}, "mutation 1"},
+	}
+	size := func(h *unn.Handle) int { return h.Index().(interface{ Len() int }).Len() }
+	for _, tc := range mutations {
+		n, epoch := size(tc.h), tc.h.Epoch()
+		err := tc.mutate()
+		if !errors.Is(err, unn.ErrInvalidInput) {
+			t.Fatalf("%s: err = %v, want ErrInvalidInput", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.at) {
+			t.Fatalf("%s: err = %v, want it to name %s", tc.name, err, tc.at)
+		}
+		if size(tc.h) != n || tc.h.Epoch() != epoch {
+			t.Fatalf("%s: the rejected batch was applied (len %d→%d, epoch %d→%d)",
+				tc.name, n, size(tc.h), epoch, tc.h.Epoch())
+		}
+	}
+	// The rejected mutations left the handles answering: a query at the
+	// centre of disk 2 finds it.
+	if got, err := dh.QueryNonzero(unn.Pt(3, 3)); err != nil || len(got) == 0 {
+		t.Fatalf("QueryNonzero after rejected mutations = %v, %v", got, err)
+	}
+}
+
 // TestHandleEstimator: Threshold/TopK work against any probability-
 // capable handle.
 func TestHandleEstimator(t *testing.T) {
