@@ -19,9 +19,9 @@ fmtcheck:
 test:
 	$(GO) test ./...
 
-# Single-proc leg: the batch executor's worker pools, tile scheduler and
-# Serve coalescing must behave identically when the runtime offers no
-# parallelism (degenerate pool sizes, inline sequential paths).
+# Single-proc leg: the batch executor's worker pool and Serve coalescing
+# must behave identically when the runtime offers no parallelism
+# (degenerate pool sizes, inline sequential paths).
 # -count=1 because the test cache does not key on GOMAXPROCS.
 test-serial:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/engine ./internal/kernel
@@ -45,17 +45,25 @@ bench:
 	$(GO) test ./internal/engine -run xxx \
 		-bench 'EngineBatch|EngineSequential|ShardedBatch|UnshardedBatch' -benchtime 5x
 
-# Zero-alloc gate for the flat-kernel query path, the tiled batch
-# executor, and the adaptive observation path: the E16/E17 single-query
+# Zero-alloc gate for the flat-kernel query path, the batch executor,
+# and the adaptive observation path: the E16/E17/E21 single-query
 # benchmarks drive QueryNonzeroInto, the E23 benchmark drives
 # BatchNonzeroInto, and the E24 benchmark drives QueryNonzeroInto with
 # the adaptive loop's windowed observation enabled — all with pooled
 # scratch, reporting allocs/op; any nonzero steady-state figure fails
 # the target (the one-time pool fill amortizes to 0 over the fixed
-# iteration count).
+# iteration count). So does a family in ALLOC_BENCHES that printed no
+# allocs/op line (a renamed benchmark must not pass by matching nothing),
+# and a failing `go test`.
+ALLOC_BENCHES = SingleNonzero E23_BatchDedup E24_AdaptiveObserve
 bench-allocs:
-	@out="$$($(GO) test . -run xxx -bench 'SingleNonzero|E23_BatchTiled|E24_AdaptiveObserve' -benchtime 200x)"; \
+	@pat="$$(echo $(ALLOC_BENCHES) | tr ' ' '|')"; \
+	out="$$($(GO) test . -run xxx -bench "$$pat" -benchtime 200x)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
+	for fam in $(ALLOC_BENCHES); do \
+		echo "$$out" | grep "^Benchmark[^ ]*$$fam" | grep -q 'allocs/op' || { \
+			echo "bench-allocs: no allocs/op line from a $$fam benchmark"; exit 1; }; \
+	done; \
 	bad="$$(echo "$$out" | awk '/allocs\/op/ && $$(NF-1)+0 != 0')"; \
 	if [ -n "$$bad" ]; then \
 		echo "bench-allocs: query path allocates:"; echo "$$bad"; exit 1; fi
@@ -67,8 +75,9 @@ snapshot-roundtrip:
 	$(GO) test . -run TestSnapshotRoundTripGate -count=1 -v
 
 # Short fuzz pass over the decode/parity surfaces with seeded corpora:
-# the flat-kernel vs reference-path parity fuzzer, the tiled-kernel vs
-# scalar-kernel parity fuzzer, and the snapshot container decoder
+# the flat-kernel vs reference-path parity fuzzer, the multi-query
+# AppendNonzeroTile vs scalar AppendNonzero parity fuzzer, and the
+# snapshot container decoder
 # (which must reject arbitrary corruption with an error, never a panic
 # or an attacker-sized allocation).
 fuzz-short:
@@ -79,7 +88,7 @@ fuzz-short:
 # Machine-readable perf trajectory: one JSON record per backend/size
 # (E16) plus the shard-scaling (E17), streaming-mutation (E18),
 # planner-vs-auto (E19), mutation-batching (E20), snapshot (E21),
-# top-k (E22) and batch-tiling (E23) sweeps.
+# top-k (E22), batch-dedup (E23) and adaptive-replanning (E24) sweeps.
 bench-json:
 	$(GO) run ./cmd/unnbench -quick -json BENCH_engine.json >/dev/null
 
@@ -89,8 +98,8 @@ bench-json:
 # the fresh file, on the E19 planner dropping below the rule-based
 # auto, on E21 snapshot restore dropping below 10× the cold build, on
 # snapshot parity breaking, on an E22 top-k query costing more than
-# 1.5× its own configuration's π baseline, and on the E23 tiled batch
-# executor dropping below 1.5× the scalar path on the hot workload or
+# 1.5× its own configuration's π baseline, and on the E23 batch
+# executor dropping below 1.5× a per-query loop on the hot workload or
 # breaking batch parity.
 OLD ?= prev/BENCH_engine.json
 benchdiff:

@@ -580,18 +580,18 @@ func BenchmarkE22_Probs_n2000_k8(b *testing.B) {
 	benchmarkE22(b, false)
 }
 
-// BenchmarkE23_BatchTiled drives the batch-fused tiled executor through
-// the allocation-aware entry point on the E17 sharded workload: one
+// BenchmarkE23_BatchDedup drives the batch executor through the
+// allocation-aware entry point on the E17 sharded workload: one
 // 256-query batch per iteration, destination slots recycled across
-// iterations. `make bench-allocs` greps this benchmark alongside the
-// SingleNonzero ones — the tiled path's acceptance bar is 0 allocs/op
-// steady state (pooled tile scratch, sort-based in-batch dedup, no
-// per-batch maps or closures).
-func BenchmarkE23_BatchTiled_n2000_k8(b *testing.B) {
+// iterations. `make bench-allocs` requires it alongside the
+// SingleNonzero ones — the batch path's bar is 0 allocs/op steady
+// state (pooled scratch, sort-based in-batch dedup, no per-batch maps
+// or closures).
+func BenchmarkE23_BatchDedup_n2000_k8(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	pts := constructions.RandomDiscrete(rng, 2000, 2, 2000, 2.0, 1)
 	h, err := unn.OpenDiscrete(pts, unn.WithBackend(unn.BackendBrute), unn.WithShards(8),
-		unn.WithWorkers(1), unn.WithBatchTile(16))
+		unn.WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,9 +27,9 @@
 // cold build it replaces (snapshot_load_ns vs build_ns, snapshot_bytes,
 // and a parity checksum over NN≠0 answers), the top-k sweep (E22) runs
 // the registry-added kind across the execution layers, and the
-// batch-tiling sweep (E23) pits the tiled shard-affine batch executor
-// (multi-query kernels + in-batch dedup) against the scalar batch path
-// on hot-skew and unique workloads, and the drift sweep (E24) flips the
+// batch sweep (E23) pits the batch executor (in-batch dedup over the
+// single-query path) against a per-query loop on hot-skew and unique
+// workloads, and the drift sweep (E24) flips the
 // query mix mid-stream and pits the adaptive replanning loop (observe →
 // drift-detect → per-shard replan → atomic swap) against the frozen
 // build-time plan (replans, replan_reason, and an exactness parity
@@ -111,11 +111,11 @@ func main() {
 			fatal(err)
 		}
 		recs = append(recs, topkRecs...)
-		tileRecs, tileTab := experiments.BatchTileBench(opt)
-		if _, err := tileTab.WriteTo(os.Stdout); err != nil {
+		batchRecs, batchTab := experiments.BatchDedupBench(opt)
+		if _, err := batchTab.WriteTo(os.Stdout); err != nil {
 			fatal(err)
 		}
-		recs = append(recs, tileRecs...)
+		recs = append(recs, batchRecs...)
 		adaptRecs, adaptTab := experiments.AdaptiveBench(opt)
 		if _, err := adaptTab.WriteTo(os.Stdout); err != nil {
 			fatal(err)

@@ -152,101 +152,6 @@ func (ix *bruteIndex) appendNonzero(q geom.Point, dst []int) ([]int, error) {
 	return dst, nil
 }
 
-// batchTiledNonzero implements tiledNonzeroBatcher for the monolithic
-// oracle: consecutive input tiles (there is no shard structure to be
-// affine to), each answered by one AppendNonzeroTile pass over the SoA
-// rows. Datasets without a flat mirror request scalar fallback.
-func (ix *bruteIndex) batchTiledNonzero(qs []geom.Point, tile, workers int, sink nonzeroSink) (int, int, error) {
-	f := ix.ensureFlat()
-	if f == nil {
-		return 0, 0, errUntileable
-	}
-	if len(qs) == 0 {
-		return 0, 0, nil
-	}
-	tile = clampTile(tile, f.N)
-	nTiles := (len(qs) + tile - 1) / tile
-	if workers <= 1 || nTiles == 1 {
-		ts := getTileScratch()
-		defer putTileScratch(ts)
-		for ti := 0; ti < nTiles; ti++ {
-			ix.runBruteTile(f, qs, ti*tile, min(ti*tile+tile, len(qs)), sink, ts)
-		}
-		return nTiles * tile, len(qs), nil
-	}
-	parallelTiles(workers, nTiles, func(ti int, ts *tileScratch) {
-		ix.runBruteTile(f, qs, ti*tile, min(ti*tile+tile, len(qs)), sink, ts)
-	})
-	return nTiles * tile, len(qs), nil
-}
-
-// runBruteTile answers queries qs[lo:hi] in one tiled pass.
-func (ix *bruteIndex) runBruteTile(f *kernel.Flat, qs []geom.Point, lo, hi int, sink nonzeroSink, ts *tileScratch) {
-	T := hi - lo
-	ts.lanes(T)
-	if cap(ts.outs) < T {
-		ts.outs = make([][]int, T)
-	}
-	outs := ts.outs[:T]
-	for t := 0; t < T; t++ {
-		ts.qx[t], ts.qy[t] = qs[lo+t].X, qs[lo+t].Y
-		outs[t] = outs[t][:0]
-	}
-	outs = f.AppendNonzeroTile(ts.qx, ts.qy, outs, &ts.sc)
-	copy(ts.outs, outs)
-	for t := 0; t < T; t++ {
-		sink.emitNonzero(lo+t, outs[t])
-	}
-}
-
-// batchTiledExpected implements tiledExpectedBatcher: one
-// ExpectedArgminTile pass per consecutive tile (discrete flat rows
-// only).
-func (ix *bruteIndex) batchTiledExpected(qs []geom.Point, tile, workers int, sink expectedSink) (int, int, error) {
-	if ix.ds.Discrete == nil {
-		return 0, 0, ErrUnsupported
-	}
-	f := ix.ensureFlat()
-	if f == nil || f.Kind != kernel.KindDiscrete {
-		return 0, 0, errUntileable
-	}
-	if len(qs) == 0 {
-		return 0, 0, nil
-	}
-	tile = clampTile(tile, f.N)
-	nTiles := (len(qs) + tile - 1) / tile
-	if workers <= 1 || nTiles == 1 {
-		ts := getTileScratch()
-		defer putTileScratch(ts)
-		for ti := 0; ti < nTiles; ti++ {
-			ix.runExpectedTile(f, qs, ti*tile, min(ti*tile+tile, len(qs)), sink, ts)
-		}
-		return nTiles * tile, len(qs), nil
-	}
-	parallelTiles(workers, nTiles, func(ti int, ts *tileScratch) {
-		ix.runExpectedTile(f, qs, ti*tile, min(ti*tile+tile, len(qs)), sink, ts)
-	})
-	return nTiles * tile, len(qs), nil
-}
-
-// runExpectedTile answers queries qs[lo:hi] in one tiled E[d] pass.
-func (ix *bruteIndex) runExpectedTile(f *kernel.Flat, qs []geom.Point, lo, hi int, sink expectedSink, ts *tileScratch) {
-	T := hi - lo
-	ts.lanes(T)
-	if cap(ts.best) < T {
-		ts.best = make([]int, T)
-		ts.bestD = make([]float64, T)
-	}
-	best, bestD := ts.best[:T], ts.bestD[:T]
-	for t := 0; t < T; t++ {
-		ts.qx[t], ts.qy[t] = qs[lo+t].X, qs[lo+t].Y
-	}
-	f.ExpectedArgminTile(ts.qx, ts.qy, best, bestD)
-	for t := 0; t < T; t++ {
-		sink.emitExpected(lo+t, best[t], bestD[t])
-	}
-}
-
 func (ix *bruteIndex) QueryProbs(q geom.Point, _ float64) ([]quantify.Prob, error) {
 	if ix.ds.Discrete == nil {
 		return nil, ErrUnsupported

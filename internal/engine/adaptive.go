@@ -12,7 +12,7 @@
 //		   ▲                                │
 //		   └────────────────────────────────┘
 //
-//	  - Observe: every query path (single, batch-tiled, and Serve, which
+//	  - Observe: every query path (single, batch, and Serve, which
 //	    funnels through them) already records into the engine's per-kind
 //	    latency counters and the per-shard visit counters. The controller
 //	    windows both behind a countdown — one atomic add per query, zero

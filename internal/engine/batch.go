@@ -15,8 +15,10 @@ import (
 
 // Options tunes an Engine.
 type Options struct {
-	// Workers is the batch worker-pool size. Default runtime.NumCPU();
-	// 1 forces sequential execution.
+	// Workers is the batch worker-pool size: the unique cache misses of a
+	// Batch* call (duplicates and hits compute nothing) run across up to
+	// this many goroutines. Default runtime.NumCPU(); 1 forces sequential
+	// execution.
 	Workers int
 	// CacheSize is the capacity (entries) of the striped LRU answer
 	// cache; 0 disables caching. The bound is global — entries are never
@@ -37,14 +39,6 @@ type Options struct {
 	// ServeBuffer is the capacity of the answer channel returned by
 	// Serve — the backpressure window of the stream. Default 2×Workers.
 	ServeBuffer int
-	// BatchTile is the tile width of the batch executor: how many queries
-	// share one pass over the backend's SoA rows (and one shard-affine
-	// schedule) in Batch* calls for tileable kinds. 0 selects the default
-	// (8), negative disables tiling (every batch slot runs the scalar
-	// single-query path), larger values clamp to 64. Tiling also enables
-	// in-batch deduplication: batch queries sharing a cache key (or, with
-	// caching off, exact coordinates) compute once.
-	BatchTile int
 	// AdaptiveReplan enables the continuous adaptive replanning loop
 	// (adaptive.go) when the wrapped index is a planner-built sharded
 	// fleet: the engine windows its per-kind latency counters into
@@ -107,22 +101,20 @@ type cellIdentifier interface {
 }
 
 // engineStats is the per-query-kind latency record: every single query
-// (and therefore every batch slot and Serve completion, which funnel
-// through the single-query path) adds its wall time to its kind's
-// counters, indexed by registry slot. The counters are the measured
+// (and every Serve completion) adds its wall time to its kind's
+// counters, indexed by registry slot, and every batch adds its slots
+// and its total wall time once. The counters are the measured
 // side of the cost model — Stats exposes them and ObserveInto folds
 // them back into a CostModel.
 type engineStats struct {
 	count [numKinds]atomic.Uint64
 	ns    [numKinds]atomic.Uint64
 	// Batch traffic: every Batch* call counts once (batches) with its
-	// slot count (batchQueries); the tiled executor additionally records
-	// its schedule's slot capacity and occupied lanes (tileSlots /
-	// tileLanes — their ratio is the mean tile occupancy).
+	// slot count (batchQueries) and the unique cache misses it computed
+	// (computed; duplicates and hits are the rest).
 	batches      atomic.Uint64
 	batchQueries atomic.Uint64
-	tileSlots    atomic.Uint64
-	tileLanes    atomic.Uint64
+	computed     atomic.Uint64
 }
 
 func (s *engineStats) record(kind Capability, d time.Duration) {
@@ -140,7 +132,7 @@ func (s *engineStats) countBatch(n int) {
 	s.batchQueries.Add(uint64(n))
 }
 
-// recordBatchKind attributes a tiled batch's wall time to its kind: n
+// recordBatchKind attributes a batch's wall time to its kind: n
 // queries answered in d total, so the per-kind mean stays a per-query
 // latency comparable with the scalar path's.
 func (s *engineStats) recordBatchKind(kind Capability, n int, d time.Duration) {
@@ -150,13 +142,6 @@ func (s *engineStats) recordBatchKind(kind Capability, n int, d time.Duration) {
 	}
 	s.count[i].Add(uint64(n))
 	s.ns[i].Add(uint64(d.Nanoseconds()))
-}
-
-// recordTiles records one tiled schedule's slot capacity and occupied
-// lanes.
-func (s *engineStats) recordTiles(slots, lanes int) {
-	s.tileSlots.Add(uint64(slots))
-	s.tileLanes.Add(uint64(lanes))
 }
 
 // KindStats is the latency record of one query kind.
@@ -205,10 +190,9 @@ type Stats struct {
 	// (MeanBatchSize is their ratio).
 	Batches      uint64
 	BatchQueries uint64
-	// TileSlots / TileLanes describe the tiled executor's schedules: slot
-	// capacity (Σ tile widths) vs occupied lanes. TileOccupancy is their
-	// ratio; ragged final tiles and narrow compute sets lower it.
-	TileSlots uint64
+	// TileLanes counts the unique cache misses the batch executor
+	// computed: TileLanes/BatchQueries is the share of batch slots that
+	// reached a backend (in-batch duplicates and cache hits did not).
 	TileLanes uint64
 	// ShardQueries is nil for unsharded backends.
 	ShardQueries []ShardKindCounts
@@ -233,14 +217,11 @@ func (s Stats) MeanBatchSize() float64 {
 	return float64(s.BatchQueries) / float64(s.Batches)
 }
 
-// TileOccupancy returns the fraction of the tiled executor's scheduled
-// lanes that carried a query (0 when no tiles ran).
-func (s Stats) TileOccupancy() float64 {
-	if s.TileSlots == 0 {
-		return 0
-	}
-	return float64(s.TileLanes) / float64(s.TileSlots)
-}
+// TileOccupancy always returns 0.
+//
+// Deprecated: batches do not run in tiles of queries, so there is no
+// tile occupancy to report.
+func (s Stats) TileOccupancy() float64 { return 0 }
 
 // Kind returns the latency record of one registered query kind (the
 // zero record for a value that is not a registered kind).
@@ -326,8 +307,7 @@ func (e *Engine) Stats() Stats {
 	s.CacheHits, s.CacheMisses = e.CacheStats()
 	s.Batches = e.stats.batches.Load()
 	s.BatchQueries = e.stats.batchQueries.Load()
-	s.TileSlots = e.stats.tileSlots.Load()
-	s.TileLanes = e.stats.tileLanes.Load()
+	s.TileLanes = e.stats.computed.Load()
 	ix := e.ix
 	if h, ok := ix.(hintedIndex); ok {
 		ix = h.Index
@@ -507,6 +487,11 @@ func (e *Engine) queryValue(spec *kindSpec, req Request) (any, error) {
 	if err := checkQuery(req.Q); err != nil {
 		return nil, err
 	}
+	if spec.usesEps {
+		if err := checkEps(req.Eps); err != nil {
+			return nil, err
+		}
+	}
 	defer func(t0 time.Time) { e.stats.record(spec.cap, time.Since(t0)); e.noteQueries(1) }(time.Now())
 	var gen uint64
 	var key cacheKey
@@ -559,6 +544,13 @@ func (e *Engine) QueryNonzeroInto(q geom.Point, dst []int) ([]int, error) {
 			return append(dst, v.([]int)...), nil
 		}
 	}
+	return e.appendNonzero(q, dst)
+}
+
+// appendNonzero appends q's NN≠0 answer to dst on the raw path (no
+// cache, no stats): the backend's allocation-free appender when it has
+// one.
+func (e *Engine) appendNonzero(q geom.Point, dst []int) ([]int, error) {
 	if e.appender != nil {
 		return e.appender.appendNonzero(q, dst)
 	}
@@ -570,7 +562,8 @@ func (e *Engine) QueryNonzeroInto(q geom.Point, dst []int) ([]int, error) {
 }
 
 // QueryProbs answers a single quantification query through the cache.
-// eps ≤ 0 selects the backend's build-time default.
+// eps ≤ 0 selects the backend's build-time default; a NaN or ±Inf eps
+// fails with ErrInvalidInput.
 func (e *Engine) QueryProbs(q geom.Point, eps float64) ([]quantify.Prob, error) {
 	v, err := e.queryValue(&kindTable[slotProbs], Request{Kind: CapProbs, Q: q, Eps: eps})
 	if err != nil {
@@ -586,15 +579,16 @@ func (e *Engine) QueryExpected(q geom.Point) (int, float64, error) {
 	if err != nil {
 		return -1, 0, err
 	}
-	ans := v.(expectedAnswer)
-	return ans.i, ans.d, nil
+	ans := v.(ExpectedResult)
+	return ans.I, ans.Dist, nil
 }
 
 // QueryTopK answers a single top-k most-likely-NN query through the
 // cache: the k indices with the largest π_i(q), ranked by probability
 // descending with index-ascending tie-break (fewer than k entries when
 // fewer points have π > 0). eps ≤ 0 selects the backend's build-time
-// default for the underlying π computation.
+// default for the underlying π computation; a NaN or ±Inf eps fails with
+// ErrInvalidInput.
 func (e *Engine) QueryTopK(q geom.Point, k int, eps float64) ([]quantify.Prob, error) {
 	v, err := e.queryValue(&kindTable[slotTopK], Request{Kind: CapTopK, Q: q, Eps: eps, K: k})
 	if err != nil {
@@ -603,193 +597,56 @@ func (e *Engine) QueryTopK(q geom.Point, k int, eps float64) ([]quantify.Prob, e
 	return v.([]quantify.Prob), nil
 }
 
-type expectedAnswer struct {
-	i int
-	d float64
-}
-
-// batch fans qs across the worker pool and collects results in input
-// order. Each worker writes only its own slots, so the output is
-// deterministic regardless of scheduling — including the error: the
-// reported failure is always the lowest failing input index, matching
-// the sequential path. (Feeding stops once any error is recorded, but
-// indices are fed in order, so every index below a failing fed index
-// has also been fed and evaluated; the recorded minimum is therefore
-// the global minimum failing index, whatever the scheduling.)
-func batch[T any](workers int, qs []geom.Point, fn func(geom.Point) (T, error)) ([]T, error) {
-	out := make([]T, len(qs))
-	if len(qs) == 0 {
-		return out, nil
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		for i, q := range qs {
-			v, err := fn(q)
-			if err != nil {
-				return nil, fmt.Errorf("engine: batch query %d: %w", i, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	var (
-		wg     sync.WaitGroup
-		next   = make(chan int)
-		mu     sync.Mutex
-		errIdx = -1
-		errVal error
-		failed atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				v, err := fn(qs[i])
-				if err != nil {
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, errVal = i, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	for i := range qs {
-		if failed.Load() {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if errIdx >= 0 {
-		return nil, fmt.Errorf("engine: batch query %d: %w", errIdx, errVal)
-	}
-	return out, nil
-}
-
 // BatchNonzero answers a slice of NN≠0 queries; result i corresponds
-// to qs[i] and is identical to QueryNonzero(qs[i]). With tiling enabled
-// (Options.BatchTile ≥ 0, the default) the batch runs through the tiled
-// executor: duplicate queries compute once, tileable backends scan
-// their rows once per tile of queries, and everything else falls back
-// to the scalar per-query path — answers are bit-identical either way.
+// to qs[i] and is identical to QueryNonzero(qs[i]). Like every Batch*
+// call it runs the one batch executor (batchexec.go): duplicate queries
+// and cache hits compute nothing, and each unique miss runs the
+// single-query path.
 func (e *Engine) BatchNonzero(qs []geom.Point) ([][]int, error) {
-	if err := e.check(CapNonzero); err != nil {
-		return nil, err
-	}
-	if err := checkBatch(qs); err != nil {
-		return nil, err
-	}
-	e.stats.countBatch(len(qs))
-	if e.tileSize() > 0 && len(qs) > 0 {
-		out, err := e.batchNonzeroTiled(qs, make([][]int, len(qs)), true)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return batch(e.opt.Workers, qs, func(q geom.Point) ([]int, error) {
-		return e.QueryNonzero(q)
-	})
+	return batchValues[[]int](e, &kindTable[slotNonzero], Request{Kind: CapNonzero}, qs)
 }
 
 // BatchNonzeroInto answers a slice of NN≠0 queries reusing dst's slots
-// — the batch analogue of QueryNonzeroInto: dst must have len(qs)
-// slots, slot i is truncated and reused for qs[i]'s answer, and in
-// steady state (warmed slots, tiling enabled, tileable backend) the
-// call performs no heap allocation. Like QueryNonzeroInto, computed
-// answers are not installed in the cache (hits are still served).
+// — the batch analogue of QueryNonzeroInto: the result has exactly
+// len(qs) slots (dst grows when shorter), slot i is truncated and
+// reused for qs[i]'s answer, and in steady state (warmed slots, one
+// worker, a backend with the appending contract) the call performs no
+// heap allocation. Like QueryNonzeroInto, computed answers are not
+// installed in the cache (hits are still served).
 func (e *Engine) BatchNonzeroInto(qs []geom.Point, dst [][]int) ([][]int, error) {
-	if err := e.check(CapNonzero); err != nil {
+	spec := &kindTable[slotNonzero]
+	if err := e.validateBatch(spec, 0, qs); err != nil {
 		return dst, err
-	}
-	if err := checkBatch(qs); err != nil {
-		return dst, err
-	}
-	e.stats.countBatch(len(qs))
-	if len(qs) == 0 {
-		return dst, nil
 	}
 	if len(dst) < len(qs) {
 		dst = append(dst, make([][]int, len(qs)-len(dst))...)
 	}
-	if e.tileSize() > 0 {
-		return e.batchNonzeroTiled(qs, dst[:len(qs)], false)
-	}
-	fi, err := runIndexed(e.opt.Workers, len(qs), func(i int) error {
-		slot, err := e.QueryNonzeroInto(qs[i], dst[i][:0])
-		dst[i] = slot
-		return err
-	})
-	if err != nil {
-		return dst, fmt.Errorf("engine: batch query %d: %w", fi, err)
-	}
-	return dst, nil
+	dst = dst[:len(qs)]
+	bs := getBatchScratch()
+	defer putBatchScratch(bs)
+	em := &bs.into
+	*em = intoEmitter{batchCtx: batchCtx{e: e, spec: spec, req: Request{Kind: CapNonzero}, qs: qs, bs: bs}, out: dst}
+	return dst, e.runBatch(&em.batchCtx, em)
 }
 
-// BatchProbs answers a slice of quantification queries in parallel;
-// result i corresponds to qs[i] and is identical to
-// QueryProbs(qs[i], eps).
+// BatchProbs answers a slice of quantification queries; result i
+// corresponds to qs[i] and is identical to QueryProbs(qs[i], eps). A
+// NaN or ±Inf eps fails the whole batch with ErrInvalidInput.
 func (e *Engine) BatchProbs(qs []geom.Point, eps float64) ([][]quantify.Prob, error) {
-	if err := e.check(CapProbs); err != nil {
-		return nil, err
-	}
-	if err := checkBatch(qs); err != nil {
-		return nil, err
-	}
-	e.stats.countBatch(len(qs))
-	return batch(e.opt.Workers, qs, func(q geom.Point) ([]quantify.Prob, error) {
-		return e.QueryProbs(q, eps)
-	})
+	return batchValues[[]quantify.Prob](e, &kindTable[slotProbs], Request{Kind: CapProbs, Eps: eps}, qs)
 }
 
-// BatchExpected answers a slice of expected-distance NN queries in
-// parallel; result i corresponds to qs[i] and is identical to
-// QueryExpected(qs[i]).
+// BatchExpected answers a slice of expected-distance NN queries; result
+// i corresponds to qs[i] and is identical to QueryExpected(qs[i]).
 func (e *Engine) BatchExpected(qs []geom.Point) ([]ExpectedResult, error) {
-	if err := e.check(CapExpected); err != nil {
-		return nil, err
-	}
-	if err := checkBatch(qs); err != nil {
-		return nil, err
-	}
-	e.stats.countBatch(len(qs))
-	if e.tileSize() > 0 && len(qs) > 0 {
-		if out, ok, err := e.batchExpectedTiled(qs); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-	}
-	return batch(e.opt.Workers, qs, func(q geom.Point) (ExpectedResult, error) {
-		i, d, err := e.QueryExpected(q)
-		return ExpectedResult{I: i, Dist: d}, err
-	})
+	return batchValues[ExpectedResult](e, &kindTable[slotExpected], Request{Kind: CapExpected}, qs)
 }
 
-// BatchTopK answers a slice of top-k most-likely-NN queries in
-// parallel; result i corresponds to qs[i] and is identical to
-// QueryTopK(qs[i], k, eps).
+// BatchTopK answers a slice of top-k most-likely-NN queries; result i
+// corresponds to qs[i] and is identical to QueryTopK(qs[i], k, eps). A
+// NaN or ±Inf eps fails the whole batch with ErrInvalidInput.
 func (e *Engine) BatchTopK(qs []geom.Point, k int, eps float64) ([][]quantify.Prob, error) {
-	if err := e.check(CapTopK); err != nil {
-		return nil, err
-	}
-	if err := checkBatch(qs); err != nil {
-		return nil, err
-	}
-	e.stats.countBatch(len(qs))
-	return batch(e.opt.Workers, qs, func(q geom.Point) ([]quantify.Prob, error) {
-		return e.QueryTopK(q, k, eps)
-	})
+	return batchValues[[]quantify.Prob](e, &kindTable[slotTopK], Request{Kind: CapTopK, Eps: eps, K: k}, qs)
 }
 
 // ExpectedResult is one expected-distance batch answer.

@@ -93,13 +93,25 @@ var ErrUnsupported = errors.New("engine: query kind unsupported by backend")
 // ErrInvalidInput is returned by a query method given an input no
 // answer can be correct for: a query point with a NaN or ±Inf
 // coordinate (Lemma 2.1 compares distances, and every comparison with
-// NaN is false, so such a point would silently get an empty NN≠0 set).
+// NaN is false, so such a point would silently get an empty NN≠0 set),
+// or a NaN or ±Inf eps.
 var ErrInvalidInput = errors.New("engine: invalid input")
 
 // checkQuery returns ErrInvalidInput unless q has finite coordinates.
 func checkQuery(q geom.Point) error {
 	if !finitePt(q) {
 		return fmt.Errorf("%w: query point (%v, %v) is not finite", ErrInvalidInput, q.X, q.Y)
+	}
+	return nil
+}
+
+// checkEps returns ErrInvalidInput for a NaN or ±Inf accuracy knob:
+// the approximating backends would turn it into a garbage or clamped
+// round count and answer a truncated π vector. A finite eps ≤ 0 still
+// selects the backend's default.
+func checkEps(eps float64) error {
+	if !finite(eps) {
+		return fmt.Errorf("%w: eps %v is not finite", ErrInvalidInput, eps)
 	}
 	return nil
 }

@@ -56,12 +56,10 @@ type kindSpec struct {
 	// a cell).
 	cacheKind      uint8
 	usesEps, usesK bool
-	// tileable marks kinds the tiled batch executor can serve
-	// (batchtile.go): the kind has multi-query kernels and a sink-based
-	// batcher contract, so Batch* calls and Serve coalescing may group
-	// its queries into tiles. Non-tileable kinds always take the scalar
-	// per-query batch path.
-	tileable bool
+	// coalesce marks kinds whose queued runs Serve answers as one Batch*
+	// call (serve.go). Their requests carry no knobs, so queries of the
+	// same kind can share a batch.
+	coalesce bool
 	// run is the raw backend dispatch (no cache, no stats).
 	run func(ix Index, req Request) (any, error)
 	// fill writes the (possibly cached) payload into a Result.
@@ -83,7 +81,7 @@ const (
 // appending is fine, reordering would silently remap Stats slots.
 var kindTable = [numKinds]kindSpec{
 	{
-		cap: CapNonzero, name: "nonzero", op: OpQueryNonzero, cacheKind: kindNonzero, tileable: true,
+		cap: CapNonzero, name: "nonzero", op: OpQueryNonzero, cacheKind: kindNonzero, coalesce: true,
 		run:    func(ix Index, req Request) (any, error) { return ix.QueryNonzero(req.Q) },
 		fill:   func(r *Result, v any) { r.Nonzero = v.([]int) },
 		weight: func(w Workload) float64 { return w.Nonzero },
@@ -95,15 +93,12 @@ var kindTable = [numKinds]kindSpec{
 		weight: func(w Workload) float64 { return w.Probs },
 	},
 	{
-		cap: CapExpected, name: "expected", op: OpQueryExpected, cacheKind: kindExpected, tileable: true,
+		cap: CapExpected, name: "expected", op: OpQueryExpected, cacheKind: kindExpected, coalesce: true,
 		run: func(ix Index, req Request) (any, error) {
 			i, d, err := ix.QueryExpected(req.Q)
-			return expectedAnswer{i, d}, err
+			return ExpectedResult{I: i, Dist: d}, err
 		},
-		fill: func(r *Result, v any) {
-			ed := v.(expectedAnswer)
-			r.Expected = ExpectedResult{I: ed.i, Dist: ed.d}
-		},
+		fill:   func(r *Result, v any) { r.Expected = v.(ExpectedResult) },
 		weight: func(w Workload) float64 { return w.Expected },
 	},
 	{

@@ -758,180 +758,3 @@ func (sx *ShardedIndex) conditionalCrossSurvival(q geom.Point, gi int, ordered [
 	}
 	return num / den
 }
-
-// --- tiled batch merge --------------------------------------------------------
-
-// batchTiledNonzero implements tiledNonzeroBatcher over the sharded
-// merge: the shard-affine schedule. Queries are sorted by their nearest
-// shard (the part with the smallest bbox lower bound) so each tile's
-// lanes agree on which shards survive pruning, then each tile runs one
-// fused SoA pass per unpruned shard — the shard's rows are read once
-// while hot instead of once per query. Answers are emitted per lane
-// through sink (lane → input index), so scheduling order never shows in
-// the output.
-func (sx *ShardedIndex) batchTiledNonzero(qs []geom.Point, tile, workers int, sink nonzeroSink) (int, int, error) {
-	sx.mu.RLock()
-	defer sx.mu.RUnlock()
-	if sx.broken != nil {
-		return 0, 0, sx.broken
-	}
-	if !sx.caps.Has(CapNonzero) {
-		return 0, 0, ErrUnsupported
-	}
-	f := sx.flat
-	if f == nil {
-		return 0, 0, errUntileable
-	}
-	if len(qs) == 0 {
-		return 0, 0, nil
-	}
-	tile = clampTile(tile, f.N)
-
-	ts := getTileScratch()
-	defer putTileScratch(ts)
-
-	// Affinity order: pack (nearest shard ≪ 32 | query index) and sort —
-	// queries that agree on their closest shard become tile neighbors,
-	// ties keep input order (the low bits).
-	pack := ts.pack[:0]
-	for qi, q := range qs {
-		near, nd := 0, math.Inf(1)
-		for si := range sx.shards {
-			if sx.shards[si].ix == nil {
-				continue
-			}
-			if d := sx.metric.rectDist(q, sx.shards[si].bbox); d < nd {
-				near, nd = si, d
-			}
-		}
-		pack = append(pack, int64(near)<<32|int64(uint32(qi)))
-	}
-	slices.Sort(pack)
-	ts.pack = pack
-
-	nTiles := (len(qs) + tile - 1) / tile
-	slots := nTiles * tile
-	if workers <= 1 || nTiles == 1 {
-		for ti := 0; ti < nTiles; ti++ {
-			lo := ti * tile
-			sx.runNonzeroTile(f, qs, pack[lo:min(lo+tile, len(pack))], sink, ts)
-		}
-		return slots, len(qs), nil
-	}
-	parallelTiles(workers, nTiles, func(ti int, wts *tileScratch) {
-		lo := ti * tile
-		sx.runNonzeroTile(f, qs, pack[lo:min(lo+tile, len(pack))], sink, wts)
-	})
-	return slots, len(qs), nil
-}
-
-// runNonzeroTile answers one tile: per-lane shard lower bounds, shards
-// visited in ascending tile-minimum order with per-lane Lemma 2.1
-// pruning (lane t skips a shard once its lb reaches the lane's m2), one
-// ScanTwoMinTile pass per surviving shard, then the per-lane global
-// filter over the lane's scanned shards. Each lane's candidate set is
-// the scalar merge's bit for bit: a skipped shard's rows have
-// Δ ≥ δ ≥ lb ≥ the lane's final m2 ≥ its filter bound, so they neither
-// shift the two-smallest fold (which is visit-order independent) nor
-// pass the strict < filter.
-func (sx *ShardedIndex) runNonzeroTile(f *kernel.Flat, qs []geom.Point, pk []int64, sink nonzeroSink, ts *tileScratch) {
-	T := len(pk)
-	if T == 0 {
-		return
-	}
-	ts.lanes(T)
-	for t, p := range pk {
-		qi := int(uint32(p))
-		ts.qi[t] = qi
-		ts.qx[t], ts.qy[t] = qs[qi].X, qs[qi].Y
-	}
-
-	parts := ts.parts[:0]
-	for _, s := range sx.shards {
-		if s.ix != nil {
-			parts = append(parts, boundedShard{s: s})
-		}
-	}
-	if sx.buf != nil && sx.buf.ix != nil {
-		parts = append(parts, boundedShard{s: sx.buf})
-	}
-	ts.parts = parts
-	S := len(parts)
-
-	ts.lbs = growFloats(ts.lbs, T*S)
-	ts.scanned = growBools(ts.scanned, T*S)
-	for si := range parts {
-		minLb := math.Inf(1)
-		for t := 0; t < T; t++ {
-			lb := sx.metric.rectDist(geom.Pt(ts.qx[t], ts.qy[t]), parts[si].s.bbox)
-			ts.lbs[t*S+si] = lb
-			minLb = min(minLb, lb)
-		}
-		parts[si].lb = minLb
-	}
-	// Visit order: ascending tile-minimum lower bound (insertion sort —
-	// S is small and the slice is pooled; stable, like the scalar path).
-	order := ts.order[:0]
-	for si := 0; si < S; si++ {
-		order = append(order, si)
-	}
-	for i := 1; i < S; i++ {
-		for j := i; j > 0 && parts[order[j]].lb < parts[order[j-1]].lb; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	ts.order = order
-
-	if cap(ts.act) < T {
-		ts.act = make([]int, 0, T)
-	}
-	m1, m2, arg1, deltas := ts.sc.TileLanes(T, f.N)
-	for _, si := range order {
-		// Tile-level early stop: the minimum lb only grows along the
-		// order, so once it reaches every lane's m2 no later shard can
-		// activate any lane.
-		stop := 0.0
-		for t := 0; t < T; t++ {
-			stop = max(stop, m2[t])
-		}
-		if parts[si].lb >= stop {
-			break
-		}
-		act := ts.act[:0]
-		for t := 0; t < T; t++ {
-			if ts.lbs[t*S+si] < m2[t] {
-				act = append(act, t)
-				ts.scanned[t*S+si] = true
-			}
-		}
-		ts.act = act
-		if len(act) == 0 {
-			continue
-		}
-		parts[si].s.visits[slotNonzero].Add(uint64(len(act)))
-		f.ScanTwoMinTile(parts[si].s.ids, act, ts.qx, ts.qy, deltas, f.N, m1, m2, arg1)
-	}
-
-	for t := 0; t < T; t++ {
-		row := deltas[t*f.N : t*f.N+f.N]
-		cand := ts.sc.Cand[:0]
-		b1, b2, a1 := m1[t], m2[t], arg1[t]
-		for si := range parts {
-			if !ts.scanned[t*S+si] {
-				continue
-			}
-			for _, i := range parts[si].s.ids {
-				bound := b1
-				if i == a1 {
-					bound = b2
-				}
-				if row[i] < bound || sx.n == 1 {
-					cand = append(cand, i)
-				}
-			}
-		}
-		slices.Sort(cand)
-		ts.sc.Cand = cand
-		sink.emitNonzero(ts.qi[t], cand)
-	}
-}

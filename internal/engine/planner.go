@@ -416,28 +416,6 @@ func (px *plannedIndex) QueryNonzero(q geom.Point) ([]int, error) {
 	return nil, ErrUnsupported
 }
 
-// batchTiledNonzero / batchTiledExpected delegate the tiled batch
-// contract to the kind's planned part (unwrapping is unnecessary: parts
-// are raw backends). A part without the contract requests scalar
-// fallback.
-func (px *plannedIndex) batchTiledNonzero(qs []geom.Point, tile, workers int, sink nonzeroSink) (int, int, error) {
-	if ix, ok := px.byKind[CapNonzero]; ok {
-		if tb, ok := ix.(tiledNonzeroBatcher); ok {
-			return tb.batchTiledNonzero(qs, tile, workers, sink)
-		}
-	}
-	return 0, 0, errUntileable
-}
-
-func (px *plannedIndex) batchTiledExpected(qs []geom.Point, tile, workers int, sink expectedSink) (int, int, error) {
-	if ix, ok := px.byKind[CapExpected]; ok {
-		if tb, ok := ix.(tiledExpectedBatcher); ok {
-			return tb.batchTiledExpected(qs, tile, workers, sink)
-		}
-	}
-	return 0, 0, errUntileable
-}
-
 func (px *plannedIndex) QueryProbs(q geom.Point, eps float64) ([]quantify.Prob, error) {
 	if ix, ok := px.byKind[CapProbs]; ok {
 		return ix.QueryProbs(q, eps)

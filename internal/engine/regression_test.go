@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,33 +15,33 @@ import (
 	"unn/internal/uncertain"
 )
 
-// TestBatchErrorLowestIndex: the batch executor must report the lowest
-// failing input index whatever the worker scheduling — the same index
-// the sequential path would report. Query 50 fails instantly while
-// query 11 fails slowly, so a worker races the higher index into the
-// error slot first; the report must still name 11.
+// taskFunc adapts a func to runIndexed's task interface.
+type taskFunc func(int) error
+
+func (f taskFunc) run(i int) error { return f(i) }
+
+// TestBatchErrorLowestIndex: the batch worker pool must report the
+// lowest failing index whatever the worker scheduling — the same index
+// the sequential path would report. Task 50 fails instantly while task
+// 11 fails slowly, so a worker races the higher index into the error
+// slot first; the report must still name 11.
 func TestBatchErrorLowestIndex(t *testing.T) {
-	qs := make([]geom.Point, 64)
-	for i := range qs {
-		qs[i] = geom.Pt(float64(i), 0)
-	}
 	for trial := 0; trial < 25; trial++ {
-		_, err := batch(8, qs, func(q geom.Point) (int, error) {
-			i := int(q.X)
+		fi, err := runIndexed(8, 64, taskFunc(func(i int) error {
 			switch i {
 			case 11:
 				time.Sleep(200 * time.Microsecond)
-				return 0, fmt.Errorf("boom %d", i)
+				return fmt.Errorf("boom %d", i)
 			case 50:
-				return 0, fmt.Errorf("boom %d", i)
+				return fmt.Errorf("boom %d", i)
 			}
-			return i, nil
-		})
+			return nil
+		}))
 		if err == nil {
-			t.Fatalf("trial %d: batch with failing queries returned nil error", trial)
+			t.Fatalf("trial %d: pool with failing tasks returned nil error", trial)
 		}
-		if want := "engine: batch query 11: boom 11"; err.Error() != want {
-			t.Fatalf("trial %d: err = %q, want %q", trial, err, want)
+		if fi != 11 || err.Error() != "boom 11" {
+			t.Fatalf("trial %d: failure (%d, %q), want (11, %q)", trial, fi, err, "boom 11")
 		}
 	}
 }
@@ -50,28 +51,19 @@ func TestBatchErrorLowestIndex(t *testing.T) {
 // remaining query.
 func TestBatchErrorStopsFeeding(t *testing.T) {
 	const n = 10_000
-	qs := make([]geom.Point, n)
-	for i := range qs {
-		qs[i] = geom.Pt(float64(i), 0)
-	}
-	evaluated := make([]int32, n)
-	_, err := batch(4, qs, func(q geom.Point) (int, error) {
-		i := int(q.X)
-		evaluated[i] = 1
+	var ran atomic.Int64
+	_, err := runIndexed(4, n, taskFunc(func(i int) error {
+		ran.Add(1)
 		if i == 0 {
-			return 0, errors.New("boom")
+			return errors.New("boom")
 		}
-		return i, nil
-	})
+		return nil
+	}))
 	if err == nil {
 		t.Fatal("expected an error")
 	}
-	ran := 0
-	for _, v := range evaluated {
-		ran += int(v)
-	}
-	if ran == n {
-		t.Fatalf("all %d queries ran despite the early error", n)
+	if got := ran.Load(); got == n {
+		t.Fatalf("all %d tasks ran despite the early error", n)
 	}
 }
 

@@ -77,11 +77,11 @@ type Answer struct {
 // touched shard, one cache flush — while still emitting one Answer per
 // op with the exact sequential semantics. A query encountered mid-drain
 // ends the run and is answered right after it.
-// Runs of queued same-kind tileable queries coalesce symmetrically
+// Runs of queued same-kind NN≠0 or E[d] queries coalesce symmetrically
 // (mirroring the mutation coalescing): the run becomes one Batch* call
-// through the tiled executor — shared data passes, in-batch dedup —
-// while still emitting one Answer per query; answers are identical to
-// the uncoalesced path's.
+// — in-batch dedup, one cache probe per distinct query — while still
+// emitting one Answer per query; answers are identical to the
+// uncoalesced path's.
 //
 // Served traffic is observed like any other: both the single-query and
 // the coalesced batch paths record into the engine's per-kind latency
@@ -95,7 +95,6 @@ func (e *Engine) Serve(ctx context.Context, in <-chan Query) <-chan Answer {
 	}
 	out := make(chan Answer, buf)
 	_, canBatch := e.ix.(BatchMutable)
-	canTile := e.tileSize() > 0
 	var wg sync.WaitGroup
 	for w := 0; w < e.opt.Workers; w++ {
 		wg.Add(1)
@@ -132,7 +131,7 @@ func (e *Engine) Serve(ctx context.Context, in <-chan Query) <-chan Answer {
 						}
 						continue
 					}
-					if canTile && isTileableQuery(qr.Kind) {
+					if isCoalescedQuery(qr.Kind) {
 						run, leftover, closed := drainQueries(in, qr)
 						if len(run) > 1 {
 							for _, a := range e.answerQueryRun(run) {
@@ -197,11 +196,12 @@ func drainMutations(in <-chan Query, first Query) (ops []Query, leftover *Query,
 	return ops, nil, false
 }
 
-// isTileableQuery reports whether kind is a registered query kind the
-// tiled batch executor can serve (the Serve-loop coalescing predicate).
-func isTileableQuery(kind Capability) bool {
+// isCoalescedQuery reports whether kind is a registered query kind
+// whose runs Serve answers as one batch (the Serve-loop coalescing
+// predicate).
+func isCoalescedQuery(kind Capability) bool {
 	spec := kindByCap(kind)
-	return spec != nil && spec.tileable
+	return spec != nil && spec.coalesce
 }
 
 // drainQueries greedily extends the run started by first with
@@ -231,7 +231,7 @@ func drainQueries(in <-chan Query, first Query) (run []Query, leftover *Query, c
 }
 
 // answerQueryRun answers one coalesced query run through the batch
-// entry point (the tiled executor: shared data passes, in-batch dedup).
+// entry point (in-batch dedup, one cache probe per distinct query).
 // A batch error falls back to per-query answers so each query reports
 // its own error, exactly the uncoalesced semantics.
 func (e *Engine) answerQueryRun(run []Query) []Answer {

@@ -90,17 +90,14 @@ type BenchRecord struct {
 	// Parity fingerprints answer equivalence between the live and the
 	// restored engine on the E21 row: "ok:<fnv32a over NN≠0 answers>"
 	// when live and restored hash identically (and Explain matches).
-	// E23 reuses it for tiled-vs-scalar batch parity. Otherwise the
+	// E23 reuses it for batch-vs-query-loop parity. Otherwise the
 	// mismatch kind.
 	Parity string `json:"parity,omitempty"`
-	// Batches, MeanBatchSize and TileOccupancy surface the tiled batch
-	// executor's counters on E23 tiled rows: batches the engine served
-	// during the sweep, mean queries per batch, and the fraction of tile
-	// lanes occupied by real queries (ragged final tiles lower it).
-	// 0 outside E23.
+	// Batches and MeanBatchSize surface the batch executor's counters on
+	// E23 dedup rows: batches the engine served during the sweep and mean
+	// queries per batch. 0 outside E23.
 	Batches       uint64  `json:"batches,omitempty"`
 	MeanBatchSize float64 `json:"mean_batch_size,omitempty"`
-	TileOccupancy float64 `json:"tile_occupancy,omitempty"`
 	// Replans and ReplanReason surface the adaptive replanning loop on
 	// the E24 adaptive row: how many replan-and-swap cycles the drifted
 	// stream triggered and the detector's last reason. 0/"" outside E24
@@ -1008,24 +1005,24 @@ func E22TopK(opt Options) *Table {
 	return t
 }
 
-// BatchTileBench (E23) measures the batch-fused tiled executor against
-// the scalar batch path on one shared sharded index. Two workloads per
-// the bench/history methodology: "hot" draws 2048 queries from 256
-// distinct points — the service-skew case where in-batch dedup
+// BatchDedupBench (E23) measures the batch executor against a plain
+// per-query QueryNonzero loop on one shared sharded index. Two
+// workloads per the bench/history methodology: "hot" draws 2048 queries
+// from 256 distinct points — the service-skew case where in-batch dedup
 // (singleflight) computes each distinct query once — and "uniq" uses
-// 2048 distinct queries, the honest no-sharing bound where only kernel
-// tiling and shard-affine scheduling help. Timings are A/B interleaved
-// (scalar and tiled alternate within each attempt, best of 3) so the
-// pairs share thermal and GC conditions. The acceptance bar of the
-// batch-tiling PR is tiled ≥2× scalar on the hot pair (cmd/benchdiff
-// enforces ≥1.5× as the regression floor) with 0 allocs/op steady
-// state through BatchNonzeroInto and bit-identical answers.
-func BatchTileBench(opt Options) ([]BenchRecord, *Table) {
+// 2048 distinct queries, the no-sharing bound where the batch can only
+// match the loop. Both sides run one worker with the cache off, so the
+// ratio isolates dedup. Timings are A/B interleaved (loop and batch
+// alternate within each attempt, best of 3) so the pairs share thermal
+// and GC conditions. cmd/benchdiff bounds the hot pair at ≥1.5× with
+// bit-identical answers; BatchNonzeroInto must stay at 0 allocs/op
+// steady state.
+func BatchDedupBench(opt Options) ([]BenchRecord, *Table) {
 	t := &Table{
 		ID:     "E23",
-		Title:  "batch-fused tiled kernels with shard-affine scheduling",
-		Claim:  "in-batch dedup + tiled shard-affine execution: hot-skew batches ≥2× the scalar batch path",
-		Header: []string{"workload", "n", "tile", "scalarQ", "tiledQ", "speedup", "allocs", "occupancy", "parity"},
+		Title:  "batch executor: in-batch dedup over the single-query path",
+		Claim:  "in-batch dedup: hot-skew batches ≥1.5× a per-query loop, bit-identical answers",
+		Header: []string{"workload", "n", "loopQ", "dedupQ", "speedup", "computed", "allocs", "parity"},
 	}
 	rng := rand.New(rand.NewSource(opt.seed()))
 	n := 100_000
@@ -1034,7 +1031,6 @@ func BatchTileBench(opt Options) ([]BenchRecord, *Table) {
 	}
 	const (
 		shards = 8
-		tile   = 16
 		nq     = 2048
 		nHot   = 256
 	)
@@ -1064,31 +1060,46 @@ func BatchTileBench(opt Options) ([]BenchRecord, *Table) {
 		uniq[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 	}
 
-	// Same index, same worker pool; the only difference is BatchTile.
-	scalar := engine.NewEngine(ix, engine.Options{BatchTile: -1})
-	tiled := engine.NewEngine(ix, engine.Options{BatchTile: tile})
-	engines := []*engine.Engine{scalar, tiled}
+	// Same index, one worker, no cache: the loop answers every query,
+	// the batch only its distinct ones.
+	eng := engine.NewEngine(ix, engine.Options{Workers: 1})
+	loop := func(qs []geom.Point) ([][]int, error) {
+		out := make([][]int, len(qs))
+		for i, q := range qs {
+			ids, err := eng.QueryNonzero(q)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = ids
+		}
+		return out, nil
+	}
 	workloads := []struct {
 		name string
 		qs   []geom.Point
 	}{{"hot", hot}, {"uniq", uniq}}
 
-	var best [2][2]time.Duration // [workload][scalar|tiled]
+	var best [2][2]time.Duration // [workload][loop|dedup]
+	var computed [2]uint64       // [workload] unique misses per batch
 	for wi := range best {
 		best[wi][0], best[wi][1] = 1<<62-1, 1<<62-1
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		for wi, wl := range workloads {
-			for ei, eng := range engines {
-				d := timeIt(func() {
-					if _, e := eng.BatchNonzero(wl.qs); e != nil && err == nil {
-						err = e
-					}
-				})
-				if d < best[wi][ei] {
-					best[wi][ei] = d
+			d := timeIt(func() {
+				if _, e := loop(wl.qs); e != nil && err == nil {
+					err = e
 				}
-			}
+			})
+			best[wi][0] = min(best[wi][0], d)
+			before := eng.Stats().TileLanes
+			d = timeIt(func() {
+				if _, e := eng.BatchNonzero(wl.qs); e != nil && err == nil {
+					err = e
+				}
+			})
+			best[wi][1] = min(best[wi][1], d)
+			computed[wi] = eng.Stats().TileLanes - before
 		}
 	}
 	if err != nil {
@@ -1096,10 +1107,10 @@ func BatchTileBench(opt Options) ([]BenchRecord, *Table) {
 		return nil, t
 	}
 
-	// Parity: the tiled executor must be bit-identical to the scalar
-	// batch on the headline workload.
-	wantRes, err1 := scalar.BatchNonzero(hot)
-	gotRes, err2 := tiled.BatchNonzero(hot)
+	// Parity: the batch must be bit-identical to the query loop on the
+	// headline workload.
+	wantRes, err1 := loop(hot)
+	gotRes, err2 := eng.BatchNonzero(hot)
 	parity := "mismatch"
 	if err1 == nil && err2 == nil {
 		parity = fmt.Sprintf("ok:%08x", batchFingerprint(wantRes))
@@ -1112,19 +1123,18 @@ func BatchTileBench(opt Options) ([]BenchRecord, *Table) {
 	}
 
 	// Steady-state allocations per query through the reuse entry point,
-	// on a fresh single-worker tiled engine (the zero-alloc contract is
-	// stated for the sequential path; the parallel path shares the same
-	// pooled scratch).
-	allocs := allocsPerBatchQuery(engine.NewEngine(ix, engine.Options{Workers: 1, BatchTile: tile}), hot)
+	// on a fresh single-worker engine (the zero-alloc contract is stated
+	// for the sequential path).
+	allocs := allocsPerBatchQuery(engine.NewEngine(ix, engine.Options{Workers: 1}), hot)
 
-	st := tiled.Stats()
+	st := eng.Stats()
 	var recs []BenchRecord
 	for wi, wl := range workloads {
-		scalarPer := best[wi][0] / time.Duration(nq)
-		tiledPer := best[wi][1] / time.Duration(nq)
+		loopPer := best[wi][0] / time.Duration(nq)
+		dedupPer := best[wi][1] / time.Duration(nq)
 		speedup := "n/a"
-		if tiledPer > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(scalarPer)/float64(tiledPer))
+		if dedupPer > 0 {
+			speedup = fmt.Sprintf("%.2fx", float64(loopPer)/float64(dedupPer))
 		}
 		rowParity := ""
 		if wl.name == "hot" {
@@ -1133,36 +1143,35 @@ func BatchTileBench(opt Options) ([]BenchRecord, *Table) {
 		recs = append(recs,
 			BenchRecord{
 				Exp:            "E23",
-				Backend:        fmt.Sprintf("sharded%d-%s-scalar", shards, wl.name),
+				Backend:        fmt.Sprintf("sharded%d-%s-loop", shards, wl.name),
 				N:              n,
 				Queries:        nq,
-				Workers:        scalar.Workers(),
+				Workers:        eng.Workers(),
 				Shards:         shards,
 				BuildNs:        build.Nanoseconds(),
-				BatchNsOp:      float64(scalarPer.Nanoseconds()),
+				BatchNsOp:      float64(loopPer.Nanoseconds()),
 				AllocsPerQuery: -1,
 			},
 			BenchRecord{
 				Exp:            "E23",
-				Backend:        fmt.Sprintf("sharded%d-%s-tiled", shards, wl.name),
+				Backend:        fmt.Sprintf("sharded%d-%s-dedup", shards, wl.name),
 				N:              n,
 				Queries:        nq,
-				Workers:        tiled.Workers(),
+				Workers:        eng.Workers(),
 				Shards:         shards,
 				BuildNs:        build.Nanoseconds(),
-				BatchNsOp:      float64(tiledPer.Nanoseconds()),
+				BatchNsOp:      float64(dedupPer.Nanoseconds()),
 				AllocsPerQuery: allocs,
 				Parity:         rowParity,
 				Batches:        st.Batches,
 				MeanBatchSize:  st.MeanBatchSize(),
-				TileOccupancy:  st.TileOccupancy(),
 			})
-		t.AddRow(wl.name, itoa(n), itoa(tile), dtoa(scalarPer), dtoa(tiledPer), speedup,
-			allocsCell(allocs), ftoa(st.TileOccupancy()), rowParity)
+		t.AddRow(wl.name, itoa(n), dtoa(loopPer), dtoa(dedupPer), speedup,
+			fmt.Sprint(computed[wi]), allocsCell(allocs), rowParity)
 	}
 	t.Note("hot: %d queries drawn from %d distinct points (service skew) — in-batch dedup computes each once", nq, nHot)
-	t.Note("uniq: %d distinct queries — the honest no-sharing bound for pure tiling + shard affinity", nq)
-	t.Note("A/B interleaved best-of-3 on one shared sharded index; scalar disables the tiled executor (BatchTile=-1)")
+	t.Note("uniq: %d distinct queries — the no-sharing bound, where the batch can only match the loop", nq)
+	t.Note("A/B interleaved best-of-3 on one shared sharded index, one worker, cache off; computed = unique misses per batch")
 	return recs, t
 }
 
@@ -1206,9 +1215,9 @@ func allocsPerBatchQuery(eng *engine.Engine, qs []geom.Point) float64 {
 	return float64(m1.Mallocs-m0.Mallocs) / float64(rounds*len(qs))
 }
 
-// E23BatchTile is the Table-only driver registered in All.
-func E23BatchTile(opt Options) *Table {
-	_, t := BatchTileBench(opt)
+// E23BatchDedup is the Table-only driver registered in All.
+func E23BatchDedup(opt Options) *Table {
+	_, t := BatchDedupBench(opt)
 	return t
 }
 

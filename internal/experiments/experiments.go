@@ -131,7 +131,7 @@ var All = []struct {
 	{"E20", "mutation batching: coalesced bursts + insert buffer", E20Mutation},
 	{"E21", "index snapshots: cold build vs zero-copy restore", E21Snapshot},
 	{"E22", "top-k most-likely NN: registry kind across execution layers", E22TopK},
-	{"E23", "batch-fused tiled kernels: shard-affine scheduling + in-batch dedup", E23BatchTile},
+	{"E23", "batch executor: in-batch dedup over the single-query path", E23BatchDedup},
 	{"E24", "adaptive replanning: drift-detected per-shard replan vs frozen plan", E24Adaptive},
 }
 

@@ -20,18 +20,18 @@ type Scratch struct {
 	Dists []float64
 	// Probs stages probability values for the π merge.
 	Probs []float64
-	// Tile lanes for the multi-query kernels (tile.go): per-lane
+	// Tile lanes for the multi-query kernel (tile.go): per-lane
 	// two-smallest-Δ state and the lane-major dense δ block
-	// (TileDists[t*stride+i] is lane t's δ_i). Sized by TileLanes.
+	// (TileDists[t*n+i] is lane t's δ_i). Sized by TileLanes.
 	TileM1, TileM2 []float64
 	TileArg        []int
 	TileDists      []float64
 }
 
-// TileLanes returns the tile kernels' per-lane state sized for T lanes
+// TileLanes returns the tile kernel's per-lane state sized for T lanes
 // over n rows, with every lane's two-smallest-Δ state initialized
 // (m1 = m2 = +Inf, arg1 = -1) exactly as the scalar scan starts. The
-// δ block is uninitialized — the kernels write each staged entry before
+// δ block is uninitialized — the kernel writes each staged entry before
 // the filter reads it.
 func (s *Scratch) TileLanes(T, n int) (m1, m2 []float64, arg1 []int, deltas []float64) {
 	if cap(s.TileM1) < T {

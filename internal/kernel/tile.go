@@ -1,11 +1,11 @@
-// Tiled (multi-query) kernels: one pass over the SoA rows serves a
-// whole tile of T queries. The row data — the expensive stream at large
-// n — is read once per tile instead of once per query, so the per-query
-// memory traffic drops by the tile width while the arithmetic stays
-// exactly the scalar kernels': for every lane t the per-row work is the
-// same math.Hypot calls in the same order with the same builtin min/max
-// folds, so each lane's answer is bit-identical to a scalar
-// ScanTwoMin/AppendNonzero/ExpectedArgmin call on that query alone.
+// The tiled (multi-query) NN≠0 kernel: one pass over the SoA rows
+// serves a whole tile of T queries, each lane's answer bit-identical to
+// a scalar AppendNonzero call on that query alone (the per-row work is
+// the same math.Hypot calls in the same order with the same builtin
+// min/max folds). The engine does not batch through it: its batches run
+// the block-pruned single-query path, which reads ≈100 rows per query
+// where this kernel reads all n. The repository benchmark's per-layer
+// replay times it (kernel.tile_nonzero).
 //
 // Loop order is row-major (row outer, lane inner, locations innermost
 // for discrete rows): the row's locations are hot in L1 while every
@@ -15,71 +15,9 @@ package kernel
 
 import "math"
 
-// ScanTwoMinTile is ScanTwoMin over a tile of queries: it folds the
-// rows listed in ids into each active lane's running two-smallest-Δ
-// state, staging lane t's δ_i at deltas[t*stride+i]. act lists the
-// active lane indices (a lane whose pruning bound already excludes this
-// shard is simply absent); qx/qy/m1/m2/arg1 are indexed by lane id, so
-// inactive lanes' state is untouched. Per lane the update rule is
-// ScanTwoMin's, operation for operation.
-func (f *Flat) ScanTwoMinTile(ids []int, act []int, qx, qy []float64, deltas []float64, stride int, m1, m2 []float64, arg1 []int) {
-	switch f.Kind {
-	case KindDiscrete:
-		for _, i := range ids {
-			rx := f.Xs[f.Off[i]:f.Off[i+1]]
-			ry := f.Ys[f.Off[i]:f.Off[i+1]]
-			ry = ry[:len(rx)] // provable len equality: no ry[a] bounds check
-			for _, t := range act {
-				qxt, qyt := qx[t], qy[t]
-				lo, hi := math.Inf(1), 0.0
-				for a, x := range rx {
-					d := math.Hypot(qxt-x, qyt-ry[a])
-					lo = min(lo, d)
-					hi = max(hi, d)
-				}
-				deltas[t*stride+i] = lo
-				if hi < m1[t] {
-					m2[t] = m1[t]
-					m1[t], arg1[t] = hi, i
-				} else if hi < m2[t] {
-					m2[t] = hi
-				}
-			}
-		}
-	case KindSquares:
-		for _, i := range ids {
-			for _, t := range act {
-				d := f.squareDist(i, qx[t], qy[t])
-				deltas[t*stride+i] = max(d-f.R[i], 0)
-				hi := d + f.R[i]
-				if hi < m1[t] {
-					m2[t] = m1[t]
-					m1[t], arg1[t] = hi, i
-				} else if hi < m2[t] {
-					m2[t] = hi
-				}
-			}
-		}
-	default:
-		for _, i := range ids {
-			cx, cy, r := f.CX[i], f.CY[i], f.R[i]
-			for _, t := range act {
-				d := math.Hypot(qx[t]-cx, qy[t]-cy)
-				deltas[t*stride+i] = max(d-r, 0)
-				hi := d + r
-				if hi < m1[t] {
-					m2[t] = m1[t]
-					m1[t], arg1[t] = hi, i
-				} else if hi < m2[t] {
-					m2[t] = hi
-				}
-			}
-		}
-	}
-}
-
-// scanAllTwoMinTile is ScanTwoMinTile over every row with every lane
-// active — the brute tile's full scan, without the ids/act indirection.
+// scanAllTwoMinTile folds every row into every lane's running
+// two-smallest-Δ state (ScanTwoMin's update rule, operation for
+// operation), staging lane t's δ_i at deltas[t*n+i].
 func (f *Flat) scanAllTwoMinTile(qx, qy []float64, deltas []float64, m1, m2 []float64, arg1 []int) {
 	n := f.N
 	T := len(qx)
@@ -187,32 +125,4 @@ func (f *Flat) AppendNonzeroTile(qx, qy []float64, dsts [][]int, sc *Scratch) []
 		dsts[t] = dst
 	}
 	return dsts
-}
-
-// ExpectedArgminTile is ExpectedArgmin over a tile of queries: lane t's
-// (argmin row, minimum expected distance) land in best[t]/bestD[t],
-// with the scalar kernel's first-strict-min tie rule per lane. Callers
-// guard Kind == KindDiscrete.
-func (f *Flat) ExpectedArgminTile(qx, qy []float64, best []int, bestD []float64) {
-	T := len(qx)
-	for t := 0; t < T; t++ {
-		best[t], bestD[t] = -1, math.Inf(1)
-	}
-	for i := 0; i < f.N; i++ {
-		rx := f.Xs[f.Off[i]:f.Off[i+1]]
-		ry := f.Ys[f.Off[i]:f.Off[i+1]]
-		rw := f.W[f.Off[i]:f.Off[i+1]]
-		ry = ry[:len(rx)]
-		rw = rw[:len(rx)]
-		for t := 0; t < T; t++ {
-			qxt, qyt := qx[t], qy[t]
-			e := 0.0
-			for a, x := range rx {
-				e += rw[a] * math.Hypot(qxt-x, qyt-ry[a])
-			}
-			if e < bestD[t] {
-				best[t], bestD[t] = i, e
-			}
-		}
-	}
 }

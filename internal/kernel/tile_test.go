@@ -59,81 +59,6 @@ func TestTileNonzeroParity(t *testing.T) {
 	}
 }
 
-// TestTileScanTwoMinParity: the subset-scan tile kernel with a sparse
-// active-lane set must leave each active lane's (m1, m2, arg1, staged
-// δ's) bit-identical to the scalar ScanTwoMin over the same ids, and
-// inactive lanes untouched.
-func TestTileScanTwoMinParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n = 40
-	flats := []*kernel.Flat{
-		kernel.FromDisks(randDisks(rng, n, 20)),
-		kernel.FromDiscrete(randDiscrete(rng, n, 4, 20)),
-		kernel.FromSquares(randSquares(rng, n, 20), kernel.MetricLinf),
-	}
-	ids := []int{3, 7, 8, 11, 20, 39}
-	qs := randQueries(rng, 8, 20)
-	T := len(qs)
-	for fi, f := range flats {
-		qx := make([]float64, T)
-		qy := make([]float64, T)
-		for t := range qs {
-			qx[t], qy[t] = qs[t].X, qs[t].Y
-		}
-		sc := kernel.GetScratch()
-		m1, m2, arg1, deltas := sc.TileLanes(T, n)
-		act := []int{0, 2, 3, 6} // lanes 1, 4, 5, 7 inactive
-		f.ScanTwoMinTile(ids, act, qx, qy, deltas, n, m1, m2, arg1)
-		scalarDeltas := make([]float64, n)
-		for _, lane := range act {
-			wm1, wm2, warg := f.ScanTwoMin(ids, qx[lane], qy[lane], scalarDeltas, math.Inf(1), math.Inf(1), -1)
-			if m1[lane] != wm1 || m2[lane] != wm2 || arg1[lane] != warg {
-				t.Fatalf("flat %d lane %d: state (%v,%v,%d), want (%v,%v,%d)",
-					fi, lane, m1[lane], m2[lane], arg1[lane], wm1, wm2, warg)
-			}
-			for _, i := range ids {
-				if deltas[lane*n+i] != scalarDeltas[i] {
-					t.Fatalf("flat %d lane %d row %d: δ %v, want %v",
-						fi, lane, i, deltas[lane*n+i], scalarDeltas[i])
-				}
-			}
-		}
-		for _, lane := range []int{1, 4, 5, 7} {
-			if !math.IsInf(m1[lane], 1) || !math.IsInf(m2[lane], 1) || arg1[lane] != -1 {
-				t.Fatalf("flat %d inactive lane %d mutated: (%v,%v,%d)",
-					fi, lane, m1[lane], m2[lane], arg1[lane])
-			}
-		}
-		kernel.PutScratch(sc)
-	}
-}
-
-// TestTileExpectedParity: every lane of ExpectedArgminTile equals the
-// scalar ExpectedArgmin bit for bit (argmin row and minimum value).
-func TestTileExpectedParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 2, 9, 40} {
-		f := kernel.FromDiscrete(randDiscrete(rng, n, 3, 20))
-		qs := randQueries(rng, 19, 20)
-		T := len(qs)
-		qx := make([]float64, T)
-		qy := make([]float64, T)
-		for t := range qs {
-			qx[t], qy[t] = qs[t].X, qs[t].Y
-		}
-		best := make([]int, T)
-		bestD := make([]float64, T)
-		f.ExpectedArgminTile(qx, qy, best, bestD)
-		for lane, q := range qs {
-			wantI, wantD := f.ExpectedArgmin(q.X, q.Y)
-			if best[lane] != wantI || bestD[lane] != wantD {
-				t.Fatalf("n=%d lane %d: got (%d,%v), want (%d,%v)",
-					n, lane, best[lane], bestD[lane], wantI, wantD)
-			}
-		}
-	}
-}
-
 // TestTileZeroAlloc: a warmed tile scratch answers whole tiles with no
 // heap allocation beyond the per-lane result buffers' one-time growth.
 func TestTileZeroAlloc(t *testing.T) {
@@ -160,10 +85,9 @@ func TestTileZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzTileParity drives the tiled kernels against their scalar
-// counterparts on fuzzer-chosen geometry and tile width: every dataset
-// kind, every lane compared element-for-element (NN≠0) and bit-for-bit
-// (E[d] argmin).
+// FuzzTileParity drives AppendNonzeroTile against the scalar
+// AppendNonzero on fuzzer-chosen geometry and tile width: every dataset
+// kind, every lane compared element for element.
 func FuzzTileParity(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(8), 3.0, 4.0)
 	f.Add(int64(42), uint8(1), uint8(1), -1.5, 25.0)
@@ -193,23 +117,6 @@ func FuzzTileParity(f *testing.F) {
 					t.Fatalf("flat %d n=%d tile=%d q=%v: got %v, want %v",
 						fi, n, tile, q, got[qi], want)
 				}
-			}
-		}
-
-		fp := flats[1]
-		qxs := make([]float64, len(qs))
-		qys := make([]float64, len(qs))
-		for i, q := range qs {
-			qxs[i], qys[i] = q.X, q.Y
-		}
-		best := make([]int, len(qs))
-		bestD := make([]float64, len(qs))
-		fp.ExpectedArgminTile(qxs, qys, best, bestD)
-		for lane, q := range qs {
-			wantI, wantD := fp.ExpectedArgmin(q.X, q.Y)
-			if best[lane] != wantI || bestD[lane] != wantD {
-				t.Fatalf("expected n=%d lane %d: got (%d,%v), want (%d,%v)",
-					n, lane, best[lane], bestD[lane], wantI, wantD)
 			}
 		}
 	})

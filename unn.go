@@ -251,7 +251,9 @@ var ErrUnsupported = engine.ErrUnsupported
 // ErrInvalidInput is returned by every query entry point (Query*,
 // QueryNonzeroInto, Batch* — reporting the lowest bad index — and
 // Serve, in Answer.Err) for a query point with a NaN or ±Inf
-// coordinate, and by Open*, Insert, InsertSquare and BatchMutate for an
+// coordinate, by QueryProbs, QueryTopK, BatchProbs, BatchTopK and
+// Serve for a NaN or ±Inf eps (a finite eps ≤ 0 selects the default),
+// and by Open*, Insert, InsertSquare and BatchMutate for an
 // uncertainty region with a non-finite centre or location or a NaN,
 // ±Inf or negative radius (reporting the lowest bad index; nothing is
 // built or applied).
@@ -333,16 +335,6 @@ func WithBackend(b Backend) Option { return func(c *openConfig) { c.backend = b 
 // WithWorkers sets the batch worker-pool size (default runtime.NumCPU();
 // 1 forces sequential batches).
 func WithWorkers(n int) Option { return func(c *openConfig) { c.run.Workers = n } }
-
-// WithBatchTile sets the batch executor's tile width: how many queries
-// of a batch share one pass over the backend's SoA rows (and one
-// shard-affine schedule). 0 selects the default (8), a negative value
-// disables tiling — every batch slot then runs the scalar single-query
-// path — and widths above 64 clamp. Tiling amortizes the data stream
-// across the tile's lanes and enables in-batch deduplication (queries
-// sharing a cache cell — or exact coordinates when caching is off —
-// compute once per batch); answers are bit-identical either way.
-func WithBatchTile(t int) Option { return func(c *openConfig) { c.run.BatchTile = t } }
 
 // WithShards enables the sharded execution layer: the dataset is split
 // into k spatial shards, one backend instance is built per shard (in

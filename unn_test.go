@@ -278,7 +278,10 @@ func TestHandleServe(t *testing.T) {
 // coordinate fails with ErrInvalidInput — never a plausible empty
 // answer — through every query entry point (single, Into, batch with the
 // lowest bad index, Serve) of plain, sharded and cached handles, for all
-// four query kinds.
+// four query kinds. So does a NaN or ±Inf eps on the π and top-k entry
+// points (the whole batch at once), including the spiral search that
+// would otherwise answer a truncated π vector; a finite eps ≤ 0 still
+// selects the default.
 func TestQueryRejectsNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xbad))
 	pts := testDiscretes(t, rng, 40, 3, 30)
@@ -295,6 +298,7 @@ func TestQueryRejectsNonFinite(t *testing.T) {
 		unn.Pt(math.Inf(1), 5), unn.Pt(5, math.Inf(-1)),
 	}
 	good := unn.Pt(15, 15)
+	badEps := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	kinds := []unn.Capability{unn.CapNonzero, unn.CapProbs, unn.CapExpected, unn.CapTopK}
 	isInvalid := func(t *testing.T, what string, err error) {
 		t.Helper()
@@ -348,15 +352,36 @@ func TestQueryRejectsNonFinite(t *testing.T) {
 			_, err = h.BatchTopK(qs, 3, 0)
 			checkBatch("BatchTopK", err)
 
+			// A non-finite eps fails before any work, batches included.
+			for _, eps := range badEps {
+				for rep := 0; rep < 2; rep++ {
+					_, err = h.QueryProbs(good, eps)
+					isInvalid(t, fmt.Sprintf("QueryProbs eps=%v", eps), err)
+					_, err = h.QueryTopK(good, 3, eps)
+					isInvalid(t, fmt.Sprintf("QueryTopK eps=%v", eps), err)
+				}
+				_, err = h.BatchProbs([]unn.Point{good, good}, eps)
+				isInvalid(t, fmt.Sprintf("BatchProbs eps=%v", eps), err)
+				_, err = h.BatchTopK([]unn.Point{good, good}, 3, eps)
+				isInvalid(t, fmt.Sprintf("BatchTopK eps=%v", eps), err)
+			}
+
 			// Serve: each bad query fails alone in Answer.Err, runs of
 			// same-kind queries included; good queries still answer.
-			in := make(chan unn.Query, 4*len(kinds)*len(qs))
+			in := make(chan unn.Query, 4*len(kinds)*len(qs)+2*len(badEps))
 			var seq uint64
 			wantBad := map[uint64]bool{}
 			for _, k := range kinds {
 				for _, q := range qs {
 					wantBad[seq] = q != good
 					in <- unn.Query{Seq: seq, Kind: k, Q: q, K: 3}
+					seq++
+				}
+			}
+			for _, eps := range badEps {
+				for _, k := range []unn.Capability{unn.CapProbs, unn.CapTopK} {
+					wantBad[seq] = true
+					in <- unn.Query{Seq: seq, Kind: k, Q: good, K: 3, Eps: eps}
 					seq++
 				}
 			}
@@ -375,6 +400,39 @@ func TestQueryRejectsNonFinite(t *testing.T) {
 			}
 		})
 	}
+
+	// The spiral search over an unsharded handle: a finite eps ≤ 0 gives
+	// the full default π vector, a non-finite one an error.
+	t.Run("spiral", func(t *testing.T) {
+		h, err := unn.OpenDiscrete(testDiscretes(t, rng, 200, 3, 200), unn.WithBackend(unn.BackendSpiral))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := unn.Pt(100, 100)
+		for _, eps := range []float64{0, -1} {
+			ps, err := h.QueryProbs(q, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			for _, p := range ps {
+				sum += p.P
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("QueryProbs eps=%v: Σπ = %v, want 1", eps, sum)
+			}
+		}
+		for _, eps := range badEps {
+			_, err := h.QueryProbs(q, eps)
+			isInvalid(t, fmt.Sprintf("spiral QueryProbs eps=%v", eps), err)
+			_, err = h.QueryTopK(q, 3, eps)
+			isInvalid(t, fmt.Sprintf("spiral QueryTopK eps=%v", eps), err)
+			_, err = h.BatchProbs([]unn.Point{q}, eps)
+			isInvalid(t, fmt.Sprintf("spiral BatchProbs eps=%v", eps), err)
+			_, err = h.BatchTopK([]unn.Point{q}, 3, eps)
+			isInvalid(t, fmt.Sprintf("spiral BatchTopK eps=%v", eps), err)
+		}
+	})
 }
 
 // TestRegionsRejectNonFinite is the build-and-insert half of the
