@@ -6,6 +6,7 @@ package unn_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -293,6 +294,22 @@ func BenchmarkE17_ShardedBatch_n2000_k8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := h.BatchNonzero(qs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpen_Discrete_n100k_k8 times set-up: OpenDiscrete on the
+// benchmark's uniq/hot shape (n = 100k, 3 locations per point, 8 shards,
+// Auto backend, adaptive cache quantum) — the partition, the per-shard
+// builds and block indexes, and the cache-quantum estimate.
+func BenchmarkOpen_Discrete_n100k_k8(b *testing.B) {
+	const n = 100_000
+	side := 8 * math.Sqrt(n)
+	pts := constructions.RandomDiscrete(rand.New(rand.NewSource(0x756e6e)), n, 3, side, 2.0, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := unn.OpenDiscrete(pts, unn.WithShards(8), unn.WithAutoCache(4096)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,27 +31,30 @@ import (
 	"unn/internal/geom"
 )
 
-// keyRef pairs a query's dedup key with its input index; sorting groups
-// duplicates with the lowest index first in each group.
+// keyRef is one query's dedup key in compact form — the key's kind and
+// point fields and the query's input index — so dedup sorts 24-byte
+// refs. The key's eps and k are the same for every query of a batch
+// (they come from the kind and the batch's knobs), so they are kept
+// once, in the batch's template key. Batches hold fewer than 2^31
+// queries (a []geom.Point that long is 32 GiB).
 type keyRef struct {
-	key cacheKey
-	idx int
+	x, y uint64
+	idx  int32
+	kind uint8
 }
 
+// cmpKeyRef orders refs by key, then input index: each group of equal
+// keys is contiguous with its lowest index first.
 func cmpKeyRef(a, b keyRef) int {
 	switch {
-	case a.key.kind != b.key.kind:
-		return int(a.key.kind) - int(b.key.kind)
-	case a.key.x != b.key.x:
-		return cmpU64(a.key.x, b.key.x)
-	case a.key.y != b.key.y:
-		return cmpU64(a.key.y, b.key.y)
-	case a.key.eps != b.key.eps:
-		return cmpU64(a.key.eps, b.key.eps)
-	case a.key.k != b.key.k:
-		return cmpU64(a.key.k, b.key.k)
+	case a.kind != b.kind:
+		return int(a.kind) - int(b.kind)
+	case a.x != b.x:
+		return cmpU64(a.x, b.x)
+	case a.y != b.y:
+		return cmpU64(a.y, b.y)
 	default:
-		return a.idx - b.idx
+		return int(a.idx) - int(b.idx)
 	}
 }
 
@@ -62,7 +65,14 @@ func cmpU64(a, b uint64) int {
 	return 1
 }
 
-func cmpRefIdx(a, b keyRef) int { return a.idx - b.idx }
+// sameKey reports whether two refs carry the same dedup key.
+func (r keyRef) sameKey(o keyRef) bool { return r.kind == o.kind && r.x == o.x && r.y == o.y }
+
+// cacheKey expands r to the full key, taking eps and k from the batch's
+// template key.
+func (r keyRef) cacheKey(tmpl cacheKey) cacheKey {
+	return cacheKey{kind: r.kind, x: r.x, y: r.y, eps: tmpl.eps, k: tmpl.k}
+}
 
 // batchScratch is the executor's pooled per-batch arena: the dedup
 // tables and BatchNonzeroInto's emitter (a pointer to the field
@@ -246,10 +256,12 @@ func (e *Engine) batchKey(spec *kindSpec, req Request) cacheKey {
 func (e *Engine) dedup(bc *batchCtx, sink batchSink) {
 	bs, qs := bc.bs, bc.qs
 	req := bc.req
+	var tmpl cacheKey
 	refs := bs.refs[:0]
 	for i, q := range qs {
 		req.Q = q
-		refs = append(refs, keyRef{key: e.batchKey(bc.spec, req), idx: i})
+		tmpl = e.batchKey(bc.spec, req)
+		refs = append(refs, keyRef{x: tmpl.x, y: tmpl.y, idx: int32(i), kind: tmpl.kind})
 	}
 	slices.SortFunc(refs, cmpKeyRef)
 	bs.refs = refs
@@ -262,43 +274,39 @@ func (e *Engine) dedup(bc *batchCtx, sink batchSink) {
 	for i := range alias {
 		alias[i] = -1
 	}
-	comp := bs.comp[:0]
-	keys := bs.keys[:0]
+	// Duplicates alias their group's lowest index; a representative
+	// that misses the cache marks its own slot -2-gs (gs: its group's
+	// start in refs) for the ascending pass below.
 	for gs := 0; gs < len(refs); {
 		ge := gs + 1
-		for ge < len(refs) && refs[ge].key == refs[gs].key {
+		for ge < len(refs) && refs[ge].sameKey(refs[gs]) {
 			ge++
 		}
-		rep := refs[gs].idx // lowest input index of the group (cmp ties on idx)
+		rep := int(refs[gs].idx)
 		cached := false
 		if e.cache != nil {
-			if v, ok := e.cache.getKey(refs[gs].key); ok {
+			if v, ok := e.cache.getKey(refs[gs].cacheKey(tmpl)); ok {
 				sink.hit(rep, v)
 				cached = true
 			}
 		}
 		if !cached {
-			comp = append(comp, rep)
-			keys = append(keys, refs[gs].key)
+			alias[rep] = -2 - gs
 		}
 		for j := gs + 1; j < ge; j++ {
 			alias[refs[j].idx] = rep
 		}
 		gs = ge
 	}
-	// Compute order must be ascending input order so the reported
-	// failure is the lowest failing input index; regroup (comp was
-	// emitted in key order) by sorting the (key, rep) pairs on rep.
-	if !slices.IsSorted(comp) {
-		pairs := refs[:0]
-		for ci, qi := range comp {
-			pairs = append(pairs, keyRef{key: keys[ci], idx: qi})
-		}
-		slices.SortFunc(pairs, cmpRefIdx)
-		comp, keys = comp[:0], keys[:0]
-		for _, p := range pairs {
-			comp = append(comp, p.idx)
-			keys = append(keys, p.key)
+	// Misses compute in ascending input order, so the reported failure
+	// is the lowest failing input index.
+	comp := bs.comp[:0]
+	keys := bs.keys[:0]
+	for i, a := range alias {
+		if a <= -2 {
+			comp = append(comp, i)
+			keys = append(keys, refs[-2-a].cacheKey(tmpl))
+			alias[i] = -1
 		}
 	}
 	bs.alias, bs.comp, bs.keys = alias, comp, keys

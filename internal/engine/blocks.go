@@ -64,25 +64,28 @@ type blockItem struct {
 	k int32
 }
 
-// blocksFor derives the block index of a part holding ids. Only the
-// flat-mirror scan reads block indexes, so fleets without a mirror get
-// none.
-func (sx *ShardedIndex) blocksFor(ids []int) blockIndex {
+// blocksFor derives the block index of a part holding ids, whose region
+// boxes are boxes (ids[k]'s at k; nil reads them off the dataset). Only
+// the flat-mirror scan reads block indexes, so fleets without a mirror
+// get none.
+func (sx *ShardedIndex) blocksFor(ids []int, boxes []geom.Rect) blockIndex {
 	if sx.flat == nil {
 		return blockIndex{}
 	}
-	return deriveBlocks(sx.ds, ids)
+	if boxes == nil {
+		boxes = itemBoxes(sx.ds, ids)
+	}
+	return deriveBlocks(ids, boxes)
 }
 
-// deriveBlocks builds the block index of the part holding ids over the
-// dataset ds. The kd split cuts at block-multiple positions, so every
-// leaf is exactly one block except a short last one.
-func deriveBlocks(ds *Dataset, ids []int) blockIndex {
+// deriveBlocks builds the block index of the part holding ids, whose
+// region boxes are boxes (ids[k]'s at k). The kd split cuts at
+// block-multiple positions, so every leaf is exactly one block except a
+// short last one.
+func deriveBlocks(ids []int, boxes []geom.Rect) blockIndex {
 	items := make([]blockItem, len(ids))
-	boxes := make([]geom.Rect, len(ids))
 	cell := [2][2]float32{{float32(math.Inf(1)), float32(math.Inf(1))}, {float32(math.Inf(-1)), float32(math.Inf(-1))}}
-	for k, i := range ids {
-		boxes[k] = itemBounds(ds, i)
+	for k := range ids {
 		c := boxes[k].Center()
 		it := blockItem{c: [2]float32{float32(c.X), float32(c.Y)}, k: int32(k)}
 		for a := range 2 {

@@ -457,8 +457,9 @@ func TestBlockScanRows(t *testing.T) {
 // BenchmarkDeriveBlocks_n100k prices the block-index derivation on its
 // own: one part of 100k discrete rows of 3 locations (σ = 2, spread
 // over a square of side 8√n, the shape of the repo benchmark's uniq
-// dataset). Build and restore pay it once per part, split across the
-// build workers.
+// dataset), from region boxes computed beforehand as Build hands them
+// down. Build and restore pay it once per part, split across the build
+// workers.
 func BenchmarkDeriveBlocks_n100k(b *testing.B) {
 	const n = 100000
 	rng := rand.New(rand.NewSource(1))
@@ -477,8 +478,9 @@ func BenchmarkDeriveBlocks_n100k(b *testing.B) {
 	for i := range ids {
 		ids[i] = i
 	}
+	boxes := itemBoxes(ds, ids)
 	b.ResetTimer()
 	for range b.N {
-		deriveBlocks(ds, ids)
+		deriveBlocks(ids, boxes)
 	}
 }

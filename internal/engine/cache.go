@@ -47,18 +47,22 @@ type quantumHinter interface {
 // measured cell extents via quantumHinter.
 func autoQuantum(ds *Dataset) float64 {
 	n := ds.N()
-	if n < 2 {
-		return 0
-	}
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	for i := 0; i < n; i++ {
 		c := centroid(ds, i)
 		xs[i], ys[i] = c.X, c.Y
 	}
-	gx := robustMinGap(xs)
-	gy := robustMinGap(ys)
-	g := math.Min(gx, gy)
+	return spacingQuantum(xs, ys)
+}
+
+// spacingQuantum is autoQuantum over the centroid coordinates xs, ys
+// (destructive: sorts both).
+func spacingQuantum(xs, ys []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	g := min(robustMinGap(xs), robustMinGap(ys))
 	if math.IsInf(g, 1) || g <= 0 {
 		return 0
 	}
@@ -78,19 +82,53 @@ func robustMinGap(vs []float64) float64 {
 	return robustMin(gaps)
 }
 
-// robustMin is the robust minimum of a sample: the 10th-percentile
-// value, but never the literal smallest when a second value exists —
-// one near-degenerate sliver (two almost-coincident centroids, a
-// hairline diagram slab) must not collapse the estimate. +Inf on an
-// empty sample. Destructive (sorts vs in place).
+// robustMin is the robust minimum of a sample of non-NaN values: the
+// 10th-percentile value, but never the literal smallest when a second
+// value exists — one near-degenerate sliver (two almost-coincident
+// centroids, a hairline diagram slab) must not collapse the estimate.
+// +Inf on an empty sample. Destructive (reorders vs).
 func robustMin(vs []float64) float64 {
 	if len(vs) == 0 {
 		return math.Inf(1)
 	}
-	sort.Float64s(vs)
 	i := len(vs) / 10
 	if i == 0 && len(vs) > 1 {
 		i = 1
+	}
+	return nthSmallest(vs, i)
+}
+
+// nthSmallest returns the value a sort of vs (no NaNs) would put at
+// index i, reordering vs: Hoare quickselect with a median-of-three
+// pivot, like selectNth (blocks.go). An order statistic is one value,
+// so the result is bit-identical to sorting and indexing.
+func nthSmallest(vs []float64, i int) float64 {
+	lo, hi := 0, len(vs)-1
+	for lo < hi {
+		x, y, z := vs[lo], vs[lo+(hi-lo)/2], vs[hi]
+		p := max(min(x, y), min(max(x, y), z))
+		a, b := lo, hi
+		for a <= b {
+			for vs[a] < p {
+				a++
+			}
+			for vs[b] > p {
+				b--
+			}
+			if a <= b {
+				vs[a], vs[b] = vs[b], vs[a]
+				a++
+				b--
+			}
+		}
+		switch {
+		case i <= b:
+			hi = b
+		case i >= a:
+			lo = a
+		default:
+			return vs[i]
+		}
 	}
 	return vs[i]
 }

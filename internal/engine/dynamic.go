@@ -249,7 +249,7 @@ func (sx *ShardedIndex) rebuildShard(s *shard) error {
 		return fmt.Errorf("sharded(%s): rebuild shard: %w", sx.name, err)
 	}
 	s.ix = ix
-	s.blocks = sx.blocksFor(s.ids)
+	s.blocks = sx.blocksFor(s.ids, nil)
 	if ob, ok := old.(*bruteIndex); ok && ob.flat != nil {
 		recycleShardFlat(ob.flat)
 		ob.flat = nil
@@ -311,10 +311,9 @@ func (sx *ShardedIndex) splitShard(si int) error {
 	s := sx.shards[si]
 	// The 2-cut allots ⌊len/2⌋ and ⌈len/2⌉ members, so both halves are
 	// non-empty for any shard large enough to split.
-	groups := kdMedianSplit(sx.ds, slices.Clone(s.ids), 2)
+	groups := kdMedianSplit(centredItems(sx.ds, s.ids, itemBoxes(sx.ds, s.ids)), 2)
 	halves := make([]*shard, len(groups))
 	for gi, g := range groups {
-		sort.Ints(g)
 		h := &shard{ids: g}
 		sx.refreshBounds(h)
 		halves[gi] = h

@@ -130,6 +130,7 @@ func (sx *ShardedIndex) BatchMutate(ms []Mutation) ([]int, error) {
 		}
 	}
 
+	sx.spacingOK = false // the dataset changes from here on
 	dirty := make(map[*shard]bool)
 	shrunk := make(map[*shard]bool)
 	res := make([]int, len(ms))

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,6 +201,12 @@ type ShardedIndex struct {
 	ds    *Dataset
 	owned bool // ds views are private copies (first mutation clones)
 
+	// spacing is autoQuantum(ds) as Build derived it from the build's
+	// centroids; spacingOK is cleared by the first mutation, after which
+	// QuantumHint re-estimates from the live dataset.
+	spacing   float64
+	spacingOK bool
+
 	// flat is the SoA mirror of ds for the flat merge kernels (plan.go):
 	// built at Build, kept in step row-by-row by the mutation paths
 	// (flatInsertRow / kernel.Flat.DeleteRow), nil for dataset shapes
@@ -312,10 +318,17 @@ func (sx *ShardedIndex) shardSizes() []int {
 // centroid returns the partitioning key of item i: the center of its
 // uncertainty-region bounding box.
 func centroid(ds *Dataset, i int) geom.Point {
+	return centreOf(ds, i, itemBounds(ds, i))
+}
+
+// centreOf is centroid(ds, i) read off box, item i's precomputed region
+// box. Squares keep their exact centre, which the box's midpoint can
+// miss by an ulp.
+func centreOf(ds *Dataset, i int, box geom.Rect) geom.Point {
 	if ds.Squares != nil {
 		return ds.Squares[i].C
 	}
-	return ds.Points[i].Support().Center()
+	return box.Center()
 }
 
 // itemBounds returns the bounding box of item i's uncertainty region.
@@ -330,104 +343,182 @@ func itemBounds(ds *Dataset, i int) geom.Rect {
 	return ds.Points[i].Support()
 }
 
+// itemBoxes returns the region box of every id, ids[k]'s at k. A build
+// computes them once and hands them to every consumer: the partition,
+// the shard bounds, the block indexes and the cache-quantum estimate.
+func itemBoxes(ds *Dataset, ids []int) []geom.Rect {
+	boxes := make([]geom.Rect, len(ids))
+	for k, i := range ids {
+		boxes[k] = itemBounds(ds, i)
+	}
+	return boxes
+}
+
+// unionAll returns the smallest rectangle containing every box.
+func unionAll(boxes []geom.Rect) geom.Rect {
+	r := geom.EmptyRect()
+	for _, b := range boxes {
+		r = r.Union(b)
+	}
+	return r
+}
+
 // subset projects ds onto the given (ascending) global indices,
 // preserving every specialized view the parent has.
 func subset(ds *Dataset, ids []int) *Dataset {
-	sub := &Dataset{}
-	if ds.Points != nil {
-		for _, i := range ids {
-			sub.Points = append(sub.Points, ds.Points[i])
-		}
+	return &Dataset{
+		Points:   project(ds.Points, ids),
+		Discrete: project(ds.Discrete, ids),
+		Disks:    project(ds.Disks, ids),
+		Squares:  project(ds.Squares, ids),
 	}
-	if ds.Discrete != nil {
-		for _, i := range ids {
-			sub.Discrete = append(sub.Discrete, ds.Discrete[i])
-		}
-	}
-	if ds.Disks != nil {
-		for _, i := range ids {
-			sub.Disks = append(sub.Disks, ds.Disks[i])
-		}
-	}
-	if ds.Squares != nil {
-		for _, i := range ids {
-			sub.Squares = append(sub.Squares, ds.Squares[i])
-		}
-	}
-	return sub
 }
 
-// partition splits the item indices of ds into exactly k groups (some
-// possibly empty), each sorted ascending.
-func partition(ds *Dataset, k int, split Split) [][]int {
-	n := ds.N()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// project returns vs[ids[0]], vs[ids[1]], …; nil when vs is nil (the
+// view is absent) or ids is empty.
+func project[T any](vs []T, ids []int) []T {
+	if vs == nil || len(ids) == 0 {
+		return nil
 	}
-	var groups [][]int
+	out := make([]T, len(ids))
+	for k, i := range ids {
+		out[k] = vs[i]
+	}
+	return out
+}
+
+// centred is one item of the partitioner: its centroid (x, y) and its
+// global id.
+type centred struct {
+	c  [2]float64
+	id int
+}
+
+// before orders items by their centroid coordinate on axis (0 = x,
+// 1 = y), ties by id: a strict total order, so the partition it induces
+// does not depend on the algorithm that applies it.
+func (a *centred) before(b *centred, axis int) bool {
+	if a.c[axis] != b.c[axis] {
+		return a.c[axis] < b.c[axis]
+	}
+	return a.id < b.id
+}
+
+// centredItems pairs each id with its centroid, read off boxes (ids[k]'s
+// region box at k), so the partitioner never touches a region again.
+func centredItems(ds *Dataset, ids []int, boxes []geom.Rect) []centred {
+	items := make([]centred, len(ids))
+	for k, i := range ids {
+		c := centreOf(ds, i, boxes[k])
+		items[k] = centred{c: [2]float64{c.X, c.Y}, id: i}
+	}
+	return items
+}
+
+// partition splits items (in ascending id order) into exactly k groups
+// (some possibly empty), each sorted ascending. It reorders items.
+func partition(items []centred, k int, split Split) [][]int {
 	if split == SplitGrid {
-		groups = gridSplit(ds, idx, k)
-	} else {
-		groups = kdMedianSplit(ds, idx, k)
+		return gridSplit(items, k)
 	}
-	for _, g := range groups {
-		sort.Ints(g)
+	return kdMedianSplit(items, k)
+}
+
+// centreBox returns the bounding box of the items' centroids.
+func centreBox(items []centred) geom.Rect {
+	box := geom.EmptyRect()
+	for _, it := range items {
+		box = box.Extend(geom.Pt(it.c[0], it.c[1]))
 	}
-	return groups
+	return box
 }
 
 // kdMedianSplit recursively splits by the median centroid coordinate
 // along the wider axis, allotting shards proportionally so any k ≥ 1
-// (not only powers of two) yields balanced parts.
-func kdMedianSplit(ds *Dataset, idx []int, k int) [][]int {
+// (not only powers of two) yields balanced parts. The left side is the
+// first items under the before order, found by selection (no full sort:
+// the order is total, so the set is the one a sort would cut), and both
+// sides recurse on sub-slices in place. Each group comes back sorted
+// ascending.
+func kdMedianSplit(items []centred, k int) [][]int {
 	if k == 1 {
-		return [][]int{idx}
+		if len(items) == 0 {
+			return [][]int{nil}
+		}
+		ids := make([]int, len(items))
+		for j, it := range items {
+			ids[j] = it.id
+		}
+		slices.Sort(ids)
+		return [][]int{ids}
 	}
 	kl := k / 2
 	kr := k - kl
-	// Wider axis of the centroid bounding box.
-	box := geom.EmptyRect()
-	for _, i := range idx {
-		box = box.Extend(centroid(ds, i))
+	axis := 0
+	if box := centreBox(items); box.Width() < box.Height() {
+		axis = 1
 	}
-	byX := box.Width() >= box.Height()
-	coord := func(i int) float64 {
-		c := centroid(ds, i)
-		if byX {
-			return c.X
+	nl := len(items) * kl / k
+	selectCentred(items, nl, axis)
+	return append(kdMedianSplit(items[:nl], kl), kdMedianSplit(items[nl:], kr)...)
+}
+
+// selectCentred rearranges a so that its first k items are the k first
+// under the before order on axis (Hoare quickselect, median-of-three
+// pivot; keys are distinct, so duplicated centroids cannot make it
+// quadratic).
+func selectCentred(a []centred, k, axis int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		x, p, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if p.before(&x, axis) {
+			x, p = p, x
 		}
-		return c.Y
+		if z.before(&p, axis) {
+			p = z
+			if p.before(&x, axis) {
+				p = x
+			}
+		}
+		i, j := lo, hi
+		for i <= j {
+			for a[i].before(&p, axis) {
+				i++
+			}
+			for p.before(&a[j], axis) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ca, cb := coord(idx[a]), coord(idx[b])
-		if ca != cb {
-			return ca < cb
-		}
-		return idx[a] < idx[b] // deterministic under ties
-	})
-	nl := len(idx) * kl / k
-	left := append([]int(nil), idx[:nl]...)
-	right := append([]int(nil), idx[nl:]...)
-	return append(kdMedianSplit(ds, left, kl), kdMedianSplit(ds, right, kr)...)
 }
 
 // gridSplit cuts the centroid bounding box into a gx×gy grid with
 // gx·gy ≥ k cells; cells beyond the k-th fold into the last shard.
-func gridSplit(ds *Dataset, idx []int, k int) [][]int {
+// Groups keep the items' (ascending) order.
+func gridSplit(items []centred, k int) [][]int {
 	gx := int(math.Floor(math.Sqrt(float64(k))))
 	if gx < 1 {
 		gx = 1
 	}
 	gy := (k + gx - 1) / gx
-	box := geom.EmptyRect()
-	for _, i := range idx {
-		box = box.Extend(centroid(ds, i))
-	}
+	box := centreBox(items)
 	groups := make([][]int, k)
 	w, h := box.Width(), box.Height()
-	for _, i := range idx {
-		c := centroid(ds, i)
+	for _, it := range items {
+		c := geom.Pt(it.c[0], it.c[1])
 		col, row := 0, 0
 		if w > 0 {
 			col = int((c.X - box.Min.X) / w * float64(gx))
@@ -445,7 +536,7 @@ func gridSplit(ds *Dataset, idx []int, k int) [][]int {
 		if cell >= k {
 			cell = k - 1
 		}
-		groups[cell] = append(groups[cell], i)
+		groups[cell] = append(groups[cell], it.id)
 	}
 	return groups
 }
@@ -480,8 +571,11 @@ func flatForDatasetInto(prev *kernel.Flat, ds *Dataset, m qmetric) *kernel.Flat 
 	}
 }
 
-// Build implements Index: partition, then build one backend instance and
-// block index per non-empty shard in parallel (bounded by BuildWorkers).
+// Build implements Index: compute every item's region box and centroid
+// once, partition, then build one backend instance and block index per
+// non-empty shard in parallel (bounded by BuildWorkers). The boxes feed
+// the partition, the shard bounds and the block indexes; the centroids
+// feed the partition and the dataset-spacing quantum estimate.
 func (sx *ShardedIndex) Build(ds *Dataset) error {
 	n := ds.N()
 	if n == 0 {
@@ -503,17 +597,33 @@ func (sx *ShardedIndex) Build(ds *Dataset) error {
 			sx.model = NewCostModel(nil)
 		}
 	}
-	groups := partition(ds, sx.opt.Shards, sx.opt.Split)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	boxes := itemBoxes(ds, all)
+	items := centredItems(ds, all, boxes)
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i, it := range items {
+		xs[i], ys[i] = it.c[0], it.c[1]
+	}
+	sx.spacing, sx.spacingOK = spacingQuantum(xs, ys), true
+	groups := partition(items, sx.opt.Shards, sx.opt.Split)
 	sx.shards = make([]*shard, len(groups))
+	// Each shard's region boxes, in id-list order: its bounds now, its
+	// block index in the build goroutine.
+	shardBoxes := make([][]geom.Rect, len(groups))
 	for si, ids := range groups {
-		s := &shard{ids: ids, bbox: geom.EmptyRect()}
-		for _, i := range ids {
-			s.bbox = s.bbox.Union(itemBounds(ds, i))
+		sb := make([]geom.Rect, len(ids))
+		for k, i := range ids {
+			sb[k] = boxes[i]
 		}
+		s := &shard{ids: ids, bbox: unionAll(sb)}
 		if len(ids) > 0 {
 			s.sub = subset(ds, ids)
 		}
 		sx.shards[si] = s
+		shardBoxes[si] = sb
 	}
 
 	var (
@@ -522,12 +632,11 @@ func (sx *ShardedIndex) Build(ds *Dataset) error {
 		mu   sync.Mutex
 		berr error
 	)
-	for _, s := range sx.shards {
+	for si, s := range sx.shards {
 		if s.sub == nil {
 			continue
 		}
 		wg.Add(1)
-		s := s
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
@@ -542,7 +651,7 @@ func (sx *ShardedIndex) Build(ds *Dataset) error {
 				return
 			}
 			s.ix = ix
-			s.blocks = sx.blocksFor(s.ids)
+			s.blocks = sx.blocksFor(s.ids, shardBoxes[si])
 		}()
 	}
 	wg.Wait()
@@ -557,14 +666,18 @@ func (sx *ShardedIndex) Build(ds *Dataset) error {
 
 // QuantumHint implements the adaptive cache-quantum hint: the finest
 // hint among the built shards (each knows its own cell geometry),
-// falling back to the dataset-spacing estimate. Sampled when the engine
-// is constructed; mutations that reshape the dataset faster than the
-// hint tracks only affect sharing granularity, never correctness beyond
-// the documented one-cell quantization error.
+// falling back to the dataset-spacing estimate (Build's, until the first
+// mutation). Sampled when the engine is constructed; mutations that
+// reshape the dataset faster than the hint tracks only affect sharing
+// granularity, never correctness beyond the documented one-cell
+// quantization error.
 func (sx *ShardedIndex) QuantumHint() float64 {
 	sx.mu.RLock()
 	defer sx.mu.RUnlock()
-	best := autoQuantum(sx.ds)
+	best := sx.spacing
+	if !sx.spacingOK {
+		best = autoQuantum(sx.ds)
+	}
 	sx.queryParts(func(s *shard) {
 		if h, ok := s.ix.(quantumHinter); ok {
 			if q := h.QuantumHint(); q > 0 && (best <= 0 || q < best) {

@@ -1048,7 +1048,7 @@ func restoreSharded(sr *snapshot.Reader, meta *snapMeta, dd *decodedDataset) (*S
 				return nil, fmt.Errorf("insert buffer rebuild: %w", err)
 			}
 			sx.buf.ix = ix
-			sx.buf.blocks = sx.blocksFor(ids)
+			sx.buf.blocks = sx.blocksFor(ids, nil)
 		}
 	}
 
@@ -1109,7 +1109,7 @@ func decodeShard(sr *snapshot.Reader, si int, sm *snapShard, sx *ShardedIndex) (
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
-		s.blocks = sx.blocksFor(ids)
+		s.blocks = sx.blocksFor(ids, nil)
 	}
 	return s, nil
 }

@@ -897,7 +897,9 @@ func E19Planner(opt Options) *Table {
 // plus an O(n log k) selection, so its per-query cost must track the π
 // query at the same configuration — each configuration emits one
 // "<config>-probs" baseline row and one "<config>-topk<k>" row per k,
-// and cmd/benchdiff enforces the ratio as an intra-run invariant.
+// and cmd/benchdiff enforces the ratio as an intra-run invariant. The π
+// and top-k passes alternate within each of three rounds and each keeps
+// its best, so a ratio never divides timings from two throttle windows.
 func TopKBench(opt Options) ([]BenchRecord, *Table) {
 	t := &Table{
 		ID:     "E22",
@@ -946,15 +948,35 @@ func TopKBench(opt Options) ([]BenchRecord, *Table) {
 			continue
 		}
 		eng := engine.NewEngine(ix, engine.Options{})
-		probsPer := timePer(len(qs), func(i int) {
-			if _, e := eng.QueryProbs(qs[i], 0); e != nil && err == nil {
-				err = e
+		// One π pass and one pass per top-k size each round, A/B
+		// interleaved best-of-3, so every ratio compares passes from the
+		// same throttle window; the GC fence keeps the build's garbage
+		// out of the first round.
+		runtime.GC()
+		ks := []int{1, 10}
+		best := make([]time.Duration, 1+len(ks)) // [π, top-ks[0], top-ks[1], …]
+		for i := range best {
+			best[i] = 1<<62 - 1
+		}
+		for attempt := 0; attempt < 3; attempt++ {
+			best[0] = min(best[0], timePer(len(qs), func(i int) {
+				if _, e := eng.QueryProbs(qs[i], 0); e != nil && err == nil {
+					err = e
+				}
+			}))
+			for ki, k := range ks {
+				best[1+ki] = min(best[1+ki], timePer(len(qs), func(i int) {
+					if _, e := eng.QueryTopK(qs[i], k, 0); e != nil && err == nil {
+						err = e
+					}
+				}))
 			}
-		})
+		}
 		if err != nil {
 			t.Note("%s: %v", cfg.name, err)
 			continue
 		}
+		probsPer := best[0]
 		recs = append(recs, BenchRecord{
 			Exp:            "E22",
 			AllocsPerQuery: -1,
@@ -966,17 +988,8 @@ func TopKBench(opt Options) ([]BenchRecord, *Table) {
 			BuildNs:        build.Nanoseconds(),
 			QueryNsOp:      float64(probsPer.Nanoseconds()),
 		})
-		for _, k := range []int{1, 10} {
-			k := k
-			topkPer := timePer(len(qs), func(i int) {
-				if _, e := eng.QueryTopK(qs[i], k, 0); e != nil && err == nil {
-					err = e
-				}
-			})
-			if err != nil {
-				t.Note("%s k=%d: %v", cfg.name, k, err)
-				break
-			}
+		for ki, k := range ks {
+			topkPer := best[1+ki]
 			ratio := "n/a"
 			if probsPer > 0 {
 				ratio = fmt.Sprintf("%.2fx", float64(topkPer)/float64(probsPer))
@@ -996,6 +1009,7 @@ func TopKBench(opt Options) ([]BenchRecord, *Table) {
 	}
 	t.Note("every row's top-k answer set is the ranked prefix of the same configuration's π sweep")
 	t.Note("rows pair as <config>-probs vs <config>-topk<k> in BENCH_engine.json; benchdiff bounds the ratio")
+	t.Note("π and top-k passes of 128 queries A/B interleaved best-of-3 per configuration, cache off")
 	return recs, t
 }
 

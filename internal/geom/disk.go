@@ -31,7 +31,7 @@ func (d Disk) Area() float64 { return math.Pi * d.R * d.R }
 // MinDist returns the minimum distance from q to the disk
 // (delta_i(q) in the paper): max{|q-C| - R, 0}.
 func (d Disk) MinDist(q Point) float64 {
-	return math.Max(q.Dist(d.C)-d.R, 0)
+	return max(q.Dist(d.C)-d.R, 0)
 }
 
 // MaxDist returns the maximum distance from q to the disk

@@ -28,8 +28,8 @@ func (r Rect) IsEmpty() bool { return r.Min.X > r.Max.X || r.Min.Y > r.Max.Y }
 // Extend grows r to include p.
 func (r Rect) Extend(p Point) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
-		Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
+		Min: Point{min(r.Min.X, p.X), min(r.Min.Y, p.Y)},
+		Max: Point{max(r.Max.X, p.X), max(r.Max.Y, p.Y)},
 	}
 }
 
@@ -74,15 +74,15 @@ func (r Rect) Diag() float64 { return r.Min.Dist(r.Max) }
 
 // DistToPoint returns the distance from p to the rectangle (0 if inside).
 func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	dx := max(0, max(r.Min.X-p.X, p.X-r.Max.X))
+	dy := max(0, max(r.Min.Y-p.Y, p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
 }
 
 // MaxDistToPoint returns the largest distance from p to a point of r.
 func (r Rect) MaxDistToPoint(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+	dx := max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
+	dy := max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
 }
 
@@ -99,8 +99,8 @@ func (r Rect) Corners() [4]Point {
 // DistToPointLinf returns the Chebyshev distance from p to the rectangle
 // (0 if inside).
 func (r Rect) DistToPointLinf(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	dx := max(0, max(r.Min.X-p.X, p.X-r.Max.X))
+	dy := max(0, max(r.Min.Y-p.Y, p.Y-r.Max.Y))
 	if dx > dy {
 		return dx
 	}

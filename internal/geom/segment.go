@@ -16,8 +16,8 @@ func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 // Bounds returns the bounding rectangle of s.
 func (s Segment) Bounds() Rect {
 	return Rect{
-		Min: Point{math.Min(s.A.X, s.B.X), math.Min(s.A.Y, s.B.Y)},
-		Max: Point{math.Max(s.A.X, s.B.X), math.Max(s.A.Y, s.B.Y)},
+		Min: Point{min(s.A.X, s.B.X), min(s.A.Y, s.B.Y)},
+		Max: Point{max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)},
 	}
 }
 
@@ -35,7 +35,7 @@ func (s Segment) DistToPoint(p Point) float64 {
 		return p.Dist(s.A)
 	}
 	t := p.Sub(s.A).Dot(d) / l2
-	t = math.Max(0, math.Min(1, t))
+	t = max(0, min(1, t))
 	return p.Dist(s.At(t))
 }
 
@@ -80,8 +80,8 @@ func (s Segment) Intersect(o Segment) SegIntersection {
 		}
 		t0 := diff.Dot(r) / rl2
 		t1 := o.B.Sub(s.A).Dot(r) / rl2
-		lo, hi := math.Min(t0, t1), math.Max(t0, t1)
-		lo, hi = math.Max(lo, 0), math.Min(hi, 1)
+		lo, hi := min(t0, t1), max(t0, t1)
+		lo, hi = max(lo, 0), min(hi, 1)
 		if lo > hi {
 			return SegIntersection{}
 		}
@@ -102,7 +102,7 @@ func (s Segment) Intersect(o Segment) SegIntersection {
 // line at the given x.
 func (s Segment) YAt(x float64) float64 {
 	if s.A.X == s.B.X {
-		return math.Min(s.A.Y, s.B.Y)
+		return min(s.A.Y, s.B.Y)
 	}
 	t := (x - s.A.X) / (s.B.X - s.A.X)
 	return s.A.Y + t*(s.B.Y-s.A.Y)
@@ -165,8 +165,8 @@ func (l Line) ClipToRect(r Rect) (Segment, bool) {
 		if t0 > t1 {
 			t0, t1 = t1, t0
 		}
-		tmin = math.Max(tmin, t0)
-		tmax = math.Min(tmax, t1)
+		tmin = max(tmin, t0)
+		tmax = min(tmax, t1)
 		return tmin <= tmax
 	}
 	if !clip(p0.X, d.X, r.Min.X, r.Max.X) || !clip(p0.Y, d.Y, r.Min.Y, r.Max.Y) {

@@ -31,6 +31,7 @@ package kernel
 
 import (
 	"math"
+	"slices"
 
 	"unn/internal/geom"
 	"unn/internal/lmetric"
@@ -105,6 +106,12 @@ func FromDiscrete(pts []*uncertain.Discrete) *Flat {
 func FromDiscreteInto(prev *Flat, pts []*uncertain.Discrete) *Flat {
 	f := recycle(prev, KindDiscrete, MetricL2)
 	f.N = len(pts)
+	rows := 0
+	for _, p := range pts {
+		rows += len(p.Locs)
+	}
+	f.Xs, f.Ys, f.W = slices.Grow(f.Xs, rows), slices.Grow(f.Ys, rows), slices.Grow(f.W, rows)
+	f.Off = slices.Grow(f.Off, len(pts)+1)
 	f.Off = append(f.Off, 0)
 	for _, p := range pts {
 		for a, l := range p.Locs {

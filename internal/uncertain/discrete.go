@@ -73,7 +73,7 @@ func (d *Discrete) Support() geom.Rect { return geom.RectAround(d.Locs...) }
 func (d *Discrete) MinDist(q geom.Point) float64 {
 	best := math.Inf(1)
 	for _, p := range d.Locs {
-		best = math.Min(best, q.Dist(p))
+		best = min(best, q.Dist(p))
 	}
 	return best
 }
@@ -83,7 +83,7 @@ func (d *Discrete) MinDist(q geom.Point) float64 {
 func (d *Discrete) MaxDist(q geom.Point) float64 {
 	best := 0.0
 	for _, p := range d.Locs {
-		best = math.Max(best, q.Dist(p))
+		best = max(best, q.Dist(p))
 	}
 	return best
 }
@@ -151,7 +151,7 @@ func (d *Discrete) EnclosingDisk() geom.Disk {
 func (d *Discrete) SpreadRatio() float64 {
 	lo, hi := math.Inf(1), 0.0
 	for _, w := range d.W {
-		lo, hi = math.Min(lo, w), math.Max(hi, w)
+		lo, hi = min(lo, w), max(hi, w)
 	}
 	return hi / lo
 }

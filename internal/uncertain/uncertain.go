@@ -145,7 +145,7 @@ func (g *TruncGauss) DistCDF(q geom.Point, r float64) float64 {
 	}
 	cell := (2 * math.Pi / nt) * (g.D.R / nr)
 	total *= cell / (2 * math.Pi * g.Sigma * g.Sigma) // normalize the full Gaussian
-	return math.Min(total/g.mass, 1)
+	return min(total/g.mass, 1)
 }
 
 // Sample implements Point by rejection from the untruncated Gaussian.
@@ -237,7 +237,7 @@ func (h *Histogram) MinDist(q geom.Point) float64 {
 	for i, row := range h.W {
 		for j, v := range row {
 			if v > 0 {
-				best = math.Min(best, h.cellRect(i, j).DistToPoint(q))
+				best = min(best, h.cellRect(i, j).DistToPoint(q))
 			}
 		}
 	}
@@ -250,7 +250,7 @@ func (h *Histogram) MaxDist(q geom.Point) float64 {
 	for i, row := range h.W {
 		for j, v := range row {
 			if v > 0 {
-				best = math.Max(best, h.cellRect(i, j).MaxDistToPoint(q))
+				best = max(best, h.cellRect(i, j).MaxDistToPoint(q))
 			}
 		}
 	}
@@ -290,7 +290,7 @@ func (h *Histogram) DistCDF(q geom.Point, r float64) float64 {
 			}
 		}
 	}
-	return math.Min(total, 1)
+	return min(total, 1)
 }
 
 // Sample implements Point: pick a cell by cumulative mass, uniform inside.
