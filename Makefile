@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: verify build vet fmtcheck test test-serial race bench-smoke bench bench-allocs bench-json benchdiff ab snapshot-roundtrip fuzz-short examples clean
 
 # The tier-1 gate: everything CI runs.
-verify: build vet fmtcheck test test-serial race bench-smoke
+verify: build vet fmtcheck test test-serial race bench-smoke examples
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,7 @@ SECS ?= 30
 ab:
 	bash bench/ab.sh "$(OLD)" "$(W)" "$(N)" "$(SEED)" "$(SECS)"
 
+# The sample programs, end to end through the public API (a few seconds).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/semantics

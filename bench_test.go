@@ -15,6 +15,7 @@ import (
 	"unn/internal/engine"
 	"unn/internal/experiments"
 	"unn/internal/geom"
+	"unn/internal/lmetric"
 	"unn/internal/nonzero"
 	"unn/internal/quantify"
 	"unn/internal/uncertain"
@@ -73,7 +74,7 @@ func BenchmarkE5_DiscreteDiagramBuild_n8k3(b *testing.B) {
 	pts := constructions.RandomDiscrete(rng, 8, 3, 30, 2.5, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := unn.BuildDiscreteDiagram(pts, unn.DiagramOptions{}); err != nil {
+		if _, err := nonzero.BuildDiscreteDiagram(pts, nonzero.DiagramOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +84,7 @@ func BenchmarkE5_DiscreteDiagramBuild_n8k3(b *testing.B) {
 func BenchmarkE6_DiagramQuery_n32(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	disks := constructions.RandomDisks(rng, 32, 40, 0.5, 2.0)
-	diag, err := unn.BuildDiskDiagram(disks, unn.DiagramOptions{})
+	diag, err := nonzero.BuildDiskDiagram(disks, nonzero.DiagramOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func BenchmarkE6_DiagramQuery_n32(b *testing.B) {
 func BenchmarkE6_TwoStageDiskQuery_n32(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	disks := constructions.RandomDisks(rng, 32, 40, 0.5, 2.0)
-	ts := unn.NewTwoStageDisks(disks)
+	ts := nonzero.NewTwoStageDisks(disks)
 	qs := randQueries(256, 40, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,7 +133,7 @@ func BenchmarkE8_VPrBuild_N12(b *testing.B) {
 	pts := constructions.VPrLowerBound(6, rand.New(rand.NewSource(7)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := unn.BuildVPr(pts, unn.VPrOptions{}); err != nil {
+		if _, err := quantify.BuildVPr(pts, quantify.VPrOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +141,7 @@ func BenchmarkE8_VPrBuild_N12(b *testing.B) {
 
 func BenchmarkE8_VPrQuery_N12(b *testing.B) {
 	pts := constructions.VPrLowerBound(6, rand.New(rand.NewSource(7)))
-	v, err := unn.BuildVPr(pts, unn.VPrOptions{})
+	v, err := quantify.BuildVPr(pts, quantify.VPrOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func BenchmarkE15_DiskDiagramBuild_n16(b *testing.B) {
 	disks := constructions.RandomDisks(rng, 16, 40, 0.5, 2.0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := unn.BuildDiskDiagram(disks, unn.DiagramOptions{}); err != nil {
+		if _, err := nonzero.BuildDiskDiagram(disks, nonzero.DiagramOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -439,7 +440,7 @@ func TestExperimentRegistryCovered(t *testing.T) {
 func BenchmarkE6_TrapMapQuery_n32(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	disks := constructions.RandomDisks(rng, 32, 40, 0.5, 2.0)
-	diag, err := unn.BuildDiskDiagram(disks, unn.DiagramOptions{})
+	diag, err := nonzero.BuildDiskDiagram(disks, nonzero.DiagramOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func BenchmarkE9_MCBuildParallel_s800(b *testing.B) {
 func BenchmarkE11_SpiralQuadtreeQuery_N16000(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	pts := constructions.RandomDiscrete(rng, 4000, 4, 200, 1.5, 8)
-	sp, err := unn.NewSpiralQuadtree(pts)
+	sp, err := quantify.NewSpiralQuadtree(pts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,7 +493,7 @@ func BenchmarkE6_TwoStageLinfQuery_n32(b *testing.B) {
 			R: 0.5 + rng.Float64()*1.5,
 		}
 	}
-	ts := unn.NewTwoStageLinf(squares)
+	ts := lmetric.NewTwoStageLinf(squares)
 	qs := randQueries(256, 40, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -693,7 +694,7 @@ func BenchmarkE24_AdaptiveObserve_n2000_k8(b *testing.B) {
 	rng := rand.New(rand.NewSource(0xe24))
 	ds := engine.FromDiscrete(constructions.RandomDiscrete(rng, 2000, 2, 2000, 2.0, 1))
 	ix, _, err := engine.BuildPlanned(ds, engine.BuildOptions{},
-		engine.ShardOptions{Shards: 8}, engine.PlannerOptions{NoProbe: true})
+		engine.ShardOptions{Shards: 8}, engine.PlannerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

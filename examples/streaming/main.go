@@ -43,17 +43,16 @@ func vehicle(rng *rand.Rand) *unn.Discrete {
 func main() {
 	rng := rand.New(rand.NewSource(0x57ea))
 
-	// The morning fleet: 3000 vehicles behind 16 spatial shards with an
-	// adaptive per-shard backend choice — busy shards run the two-stage
-	// structure, drained ones fall back to the cheap-to-rebuild brute
-	// oracle.
+	// The morning fleet: 3000 vehicles behind 16 spatial shards, each
+	// running the Theorem 3.2 two-stage NN≠0 structure; a mutation
+	// rebuilds only its owning shard's.
 	fleet := make([]*unn.Discrete, 3000)
 	for i := range fleet {
 		fleet[i] = vehicle(rng)
 	}
 	h, err := unn.OpenDiscrete(fleet,
 		unn.WithBackend(unn.BackendTwoStageDiscrete),
-		unn.WithShards(16), unn.WithShardAdaptive(0), unn.WithCache(4096, side/256))
+		unn.WithShards(16), unn.WithCache(4096, side/256))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -354,7 +354,6 @@ func (ap *adaptivePlanner) replan(reason string) (bool, error) {
 	epoch0 := sx.epoch
 	ds := sx.ds
 	model := sx.model
-	probed := sx.probed
 	bopt := sx.bopt
 	var popt PlannerOptions
 	if sx.popt != nil {
@@ -402,10 +401,8 @@ func (ap *adaptivePlanner) replan(reason string) (bool, error) {
 			hor = math.Max(hor, minShardHorizon)
 			po.Horizon = hor
 		}
-		p := planFor(jobs[j].sub, model, po)
-		p.Probed = probed
-		px := &plannedIndex{plan: p, buildOpts: bopt}
-		if err := px.Build(jobs[j].sub); err != nil {
+		px, err := buildPlannedIndex(planFor(jobs[j].sub, model, po), bopt, jobs[j].sub)
+		if err != nil {
 			errMu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -464,26 +461,16 @@ func (ap *adaptivePlanner) replan(reason string) (bool, error) {
 	// computed here, under the write lock, because sx.ds is mutated in
 	// place by inserts and may not be read off-lock. The epoch fence just
 	// guaranteed it is still the dataset the shard builds came from, and
-	// planFor is cost-model arithmetic (no probe, no build), so the lock
-	// hold stays short.
-	dsPlan := planFor(ds, model, popt)
-	dsPlan.Probed = probed
-	sx.planNote = dsPlan.Explain()
+	// planFor is cost-model arithmetic (no build), so the lock hold
+	// stays short.
+	sx.planNote = planFor(ds, model, popt).Explain()
 	if sx.popt != nil {
 		sx.popt.Mix = popt.Mix
 	}
 	// Future shard rebuilds (mutations) must plan with the new mix too:
 	// replace the factory closure BuildPlanned installed, which captured
 	// the build-time options.
-	sx.factory = func(sub *Dataset) (Index, error) {
-		p := planFor(sub, model, popt)
-		p.Probed = probed
-		px := &plannedIndex{plan: p, buildOpts: bopt}
-		if err := px.Build(sub); err != nil {
-			return nil, err
-		}
-		return px, nil
-	}
+	sx.factory = plannedFactory(model, popt, bopt)
 	sx.recomputeCaps()
 	sx.epoch++ // the swap is an epoch: readers that care re-snapshot
 	sx.mu.Unlock()

@@ -26,7 +26,7 @@ func adaptiveFixture(t *testing.T, n, shards int, aopt AdaptiveOptions) (*Engine
 	pts := constructions.RandomDiscrete(rng, n, 3, 90, 2.0, 1)
 	ds := FromDiscrete(pts)
 	ix, _, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{Shards: shards},
-		PlannerOptions{Mix: Workload{Probs: 1, Nonzero: 0.25, Expected: 0.01}, NoProbe: true})
+		PlannerOptions{Mix: Workload{Probs: 1, Nonzero: 0.25, Expected: 0.01}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDetectDrift(t *testing.T) {
 func TestObserveIntoDeltaWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := FromDiscrete(constructions.RandomDiscrete(rng, 80, 3, 60, 2.0, 1))
-	ix, _, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{}, PlannerOptions{NoProbe: true})
+	ix, _, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{}, PlannerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestAdaptiveDriftReplans(t *testing.T) {
 func TestReplanManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := FromDiscrete(constructions.RandomDiscrete(rng, 80, 3, 60, 2.0, 1))
-	plain, _, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{}, PlannerOptions{NoProbe: true})
+	plain, _, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{}, PlannerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

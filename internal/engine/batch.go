@@ -357,7 +357,7 @@ func (e *Engine) ObserveInto(model *CostModel) {
 }
 
 // kindBackend resolves which named backend serves kind: composites
-// (planned, routed) report their part, plain adapters their own name.
+// (planned, auto) report their part, plain adapters their own name.
 func (e *Engine) kindBackend(kind Capability) (Backend, bool) {
 	ix := e.ix
 	if h, ok := ix.(hintedIndex); ok {
@@ -378,8 +378,8 @@ func (e *Engine) kindBackend(kind Capability) (Backend, bool) {
 }
 
 // Explain describes how this engine answers each query kind: the
-// planner's decision (with cost estimates) for planned indexes, the
-// routing rule for composites, shard assignments for sharded fleets, and
+// planner's decision (with cost estimates) for planned indexes, Auto's
+// rule for its composite, shard assignments for sharded fleets, and
 // a capability summary for plain backends. Engines running the adaptive
 // replanning loop append its state (window, replan count, last reason,
 // shard temperatures).

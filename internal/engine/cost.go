@@ -1,9 +1,9 @@
 // The cost model behind the query planner: per-backend estimators of
 // build time and per-kind query time, seeded from the paper's own
-// asymptotics and calibrated to this machine — either by a micro-probe
-// at Build time (build a small sample instance per candidate backend and
-// time a handful of queries) or from a persisted BENCH_engine.json
-// calibration table written by `unnbench -json`.
+// asymptotics (DefaultCalibration) and optionally calibrated to a
+// machine from a persisted BENCH_engine.json table written by
+// `unnbench -json`. Neither source reads a clock, so a plan depends only
+// on the dataset, the workload and the table.
 //
 // Every estimate is coefficient × term(n): the term is the theorem's
 // growth law (e.g. the Theorem 3.1/3.2 two-stage structures answer NN≠0
@@ -19,11 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
-	"time"
-
-	"unn/internal/geom"
 )
 
 // CostOp names one estimated operation of a backend.
@@ -116,7 +112,7 @@ func term(b Backend, op CostOp, n int) float64 {
 
 // DefaultCalibration returns the seeded coefficients (nanoseconds per
 // term unit): rough constants measured once on a commodity core, good
-// enough to rank backends when no probe or table is available.
+// enough to rank backends when no table is given.
 func DefaultCalibration() Calibration {
 	c := Calibration{}
 	seed := func(b Backend, op CostOp, ns float64) { c[CostKey{b, op}] = ns }
@@ -169,7 +165,7 @@ func NewCostModel(cal Calibration) *CostModel {
 // Coefficients returns a copy of the model's calibration table — the
 // serialization hook for snapshots, which persist the fitted
 // coefficients so a restored engine plans (and prices insert-buffer
-// flushes) identically without re-probing.
+// flushes) identically without the original table.
 func (m *CostModel) Coefficients() Calibration {
 	out := make(Calibration, len(m.coef))
 	for k, v := range m.coef {
@@ -213,7 +209,7 @@ func (m *CostModel) Observe(b Backend, op CostOp, n int, measuredNs float64) {
 // datasetCaps returns the query kinds backend b can answer for a dataset
 // of this shape, mirroring the adapters' Build preconditions and
 // dataset-dependent Capabilities — shared by the planner's candidacy
-// test, the adaptive-swap gate, and the sharded capability clamp.
+// test, Auto's rule plan, and the sharded capability clamp.
 func datasetCaps(b Backend, ds *Dataset) Capability {
 	switch b {
 	case BackendBrute:
@@ -255,129 +251,6 @@ func datasetCaps(b Backend, ds *Dataset) Capability {
 		}
 	}
 	return 0
-}
-
-// probeSize caps the sample size of the micro-probe per backend: the
-// structures whose construction grows super-linearly are probed on toy
-// instances (exactly the sizes their theorems afford).
-func probeSize(b Backend, n int) int {
-	cap := 160
-	switch b {
-	case BackendDiagram:
-		cap = 20
-	case BackendVPr:
-		cap = 5
-	}
-	if n < cap {
-		return n
-	}
-	return cap
-}
-
-// probeBBox bounds the probe's query window to the sample's support.
-func probeBBox(ds *Dataset) geom.Rect {
-	r := geom.EmptyRect()
-	for i, n := 0, ds.N(); i < n; i++ {
-		r = r.Union(itemBounds(ds, i))
-	}
-	return r
-}
-
-// Calibrate runs the micro-probe: for every candidate backend it builds
-// a small sample of ds (timed), answers a handful of queries per
-// supported kind (timed), and fits the coefficients. Backends whose
-// seeded estimate is hopeless at the dataset's real size (≥ 1000× the
-// best candidate's) are skipped — probing V_Pr at every Build would cost
-// more than it could ever inform.
-func Calibrate(ds *Dataset, bopt BuildOptions, candidates []Backend) Calibration {
-	base := NewCostModel(nil)
-	n := ds.N()
-	cal := Calibration{}
-	const probeQueries = 8
-	for _, kind := range queryKinds() {
-		best := math.Inf(1)
-		for _, b := range candidates {
-			if !datasetCaps(b, ds).Has(kind) {
-				continue
-			}
-			if c := base.QueryCost(b, kind, n) + base.BuildCost(b, n); c < best {
-				best = c
-			}
-		}
-		for _, b := range candidates {
-			if !datasetCaps(b, ds).Has(kind) {
-				continue
-			}
-			if base.QueryCost(b, kind, n)+base.BuildCost(b, n) > 1000*best {
-				continue
-			}
-			if _, done := cal[CostKey{b, OpBuild}]; done {
-				continue // already probed for an earlier kind
-			}
-			probeBackend(ds, bopt, b, probeQueries, cal)
-		}
-	}
-	return cal
-}
-
-// probeBackend builds one sampled instance of b and times its build and
-// one query burst per supported kind, writing the fitted coefficients
-// into cal.
-func probeBackend(ds *Dataset, bopt BuildOptions, b Backend, queries int, cal Calibration) {
-	m := probeSize(b, ds.N())
-	if m < 1 {
-		return
-	}
-	ids := make([]int, m)
-	stride := ds.N() / m
-	if stride < 1 {
-		stride = 1
-	}
-	for i := range ids {
-		ids[i] = i * stride
-	}
-	sub := subset(ds, ids)
-	t0 := time.Now()
-	ix, err := Build(b, sub, bopt)
-	buildNs := float64(time.Since(t0).Nanoseconds())
-	if err != nil {
-		return // not buildable on this dataset shape: never a candidate
-	}
-	if t := term(b, OpBuild, m); t > 0 {
-		cal[CostKey{b, OpBuild}] = math.Max(buildNs/t, 0.01)
-	}
-	box := probeBBox(sub)
-	rng := rand.New(rand.NewSource(0x9a0be))
-	qs := make([]geom.Point, queries)
-	for i := range qs {
-		qs[i] = geom.Pt(
-			box.Min.X+rng.Float64()*math.Max(box.Width(), 1),
-			box.Min.Y+rng.Float64()*math.Max(box.Height(), 1),
-		)
-	}
-	caps := ix.Capabilities()
-	timeKind := func(op CostOp, run func(geom.Point)) {
-		t0 := time.Now()
-		for _, q := range qs {
-			run(q)
-		}
-		per := float64(time.Since(t0).Nanoseconds()) / float64(len(qs))
-		if t := term(b, op, m); t > 0 {
-			cal[CostKey{b, op}] = math.Max(per/t, 0.01)
-		}
-	}
-	if caps.Has(CapNonzero) {
-		timeKind(OpQueryNonzero, func(q geom.Point) { ix.QueryNonzero(q) })
-	}
-	if caps.Has(CapProbs) {
-		timeKind(OpQueryProbs, func(q geom.Point) { ix.QueryProbs(q, 0) })
-	}
-	if caps.Has(CapExpected) {
-		timeKind(OpQueryExpected, func(q geom.Point) { ix.QueryExpected(q) })
-	}
-	if caps.Has(CapTopK) {
-		timeKind(OpQueryTopK, func(q geom.Point) { queryTopKOf(ix, q, 3, 0) })
-	}
 }
 
 // benchRecord is the subset of the unnbench -json schema the calibration

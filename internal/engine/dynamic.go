@@ -244,7 +244,7 @@ func (sx *ShardedIndex) refreshBounds(s *shard) {
 func (sx *ShardedIndex) rebuildShard(s *shard) error {
 	s.sub = subset(sx.ds, s.ids)
 	old := s.ix
-	ix, err := sx.shardFactory(s.sub)
+	ix, err := sx.factory(s.sub)
 	if err != nil {
 		return fmt.Errorf("sharded(%s): rebuild shard: %w", sx.name, err)
 	}
@@ -255,53 +255,6 @@ func (sx *ShardedIndex) rebuildShard(s *shard) error {
 		ob.flat = nil
 	}
 	return nil
-}
-
-// shardFactory builds the backend for one shard's sub-dataset. With
-// ShardOptions.Adaptive it applies the per-shard backend choice; the
-// default is the configured backend.
-func (sx *ShardedIndex) shardFactory(sub *Dataset) (Index, error) {
-	if sx.opt.Adaptive && sx.backend != "" {
-		if b, ok := adaptiveBackend(sx.backend, sub, sx.opt.AdaptiveCutoff); ok {
-			return Build(b, sub, sx.bopt)
-		}
-	}
-	return sx.factory(sub)
-}
-
-// adaptiveBackend picks the per-shard backend under the legacy
-// WithShardAdaptive rule: brute at or below the cutoff (cheap rebuilds
-// under churn), the kind's two-stage structure above it. The cost-based
-// generalization is the per-shard planner (BuildPlanned re-plans every
-// shard at its own size); this fixed rule remains for handles that pin a
-// named backend. A swap is made only when the candidate's capability set
-// (datasetCaps, shared with the planner's candidacy test) contains the
-// configured backend's — capabilities may grow (their intersection
-// across shards is unchanged) but never shrink.
-func adaptiveBackend(conf Backend, sub *Dataset, cutoff int) (Backend, bool) {
-	var cand Backend
-	if sub.N() <= cutoff {
-		cand = BackendBrute
-		if len(sub.Points) == 0 {
-			return "", false // squares: brute cannot build
-		}
-	} else {
-		switch {
-		case sub.Disks != nil:
-			cand = BackendTwoStageDisks
-		case sub.Discrete != nil:
-			cand = BackendTwoStageDiscrete
-		default:
-			return "", false
-		}
-	}
-	if cand == conf {
-		return "", false
-	}
-	if !datasetCaps(cand, sub).Has(datasetCaps(conf, sub)) {
-		return "", false
-	}
-	return cand, true
 }
 
 // splitShard halves shard si by the kd-median cut on its own centroids

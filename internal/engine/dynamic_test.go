@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -168,92 +167,6 @@ func TestDynamicGrowShrink(t *testing.T) {
 	}
 	if got := sx.Shards(); got < 2 {
 		t.Fatalf("8 items under target %d collapsed to %d shards", sx.target, got)
-	}
-}
-
-// TestDynamicAdaptiveBackends checks the per-shard backend choice on a
-// disk dataset: under churn, small shards run brute and large shards
-// the two-stage structure, while NN≠0 answers stay bit-identical to the
-// monolithic reference.
-func TestDynamicAdaptiveBackends(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xada))
-	const side = 60.0
-	disks := constructions.RandomDisks(rng, 20, side, 0.4, 1.2)
-	live := append([]geom.Disk(nil), disks...)
-	sx := dynamicOver(t, BackendTwoStageDisks, FromDisks(append([]geom.Disk(nil), disks...)),
-		ShardOptions{Shards: 2, Adaptive: true, AdaptiveCutoff: 6})
-	// Both initial shards hold 10 > 6 items: two-stage everywhere.
-	for _, s := range sx.shards {
-		if !strings.Contains(s.ix.Name(), string(BackendTwoStageDisks)) {
-			t.Fatalf("large shard built %q, want two-stage", s.ix.Name())
-		}
-	}
-	// Drain shard 0 to 6 members (above the merge threshold of
-	// ⌈target/2⌉−1 = 4, below the cutoff): its rebuilds must swap to the
-	// brute backend while the untouched shard keeps two-stage.
-	for len(sx.shards[0].ids) > 6 {
-		gi := sx.shards[0].ids[0]
-		if _, err := sx.Delete(gi); err != nil {
-			t.Fatal(err)
-		}
-		live = append(live[:gi], live[gi+1:]...)
-	}
-	if got := sx.shards[0].ix.Name(); got != string(BackendBrute) {
-		t.Fatalf("small shard built %q, want brute", got)
-	}
-	if got := sx.shards[1].ix.Name(); !strings.Contains(got, string(BackendTwoStageDisks)) {
-		t.Fatalf("large shard built %q, want two-stage", got)
-	}
-	// The capability set is unchanged by the mixed fleet, and answers
-	// stay bit-identical to the monolithic two-stage reference.
-	if got := sx.Capabilities(); got != CapNonzero {
-		t.Fatalf("capabilities = %v, want %v", got, CapNonzero)
-	}
-	mono, err := Build(BackendTwoStageDisks, FromDisks(live), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range randQueries(rng, 24, side) {
-		want, _ := mono.QueryNonzero(q)
-		got, err := sx.QueryNonzero(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-			t.Fatalf("q=%v: nonzero %v, want %v", q, got, want)
-		}
-	}
-}
-
-// TestDynamicAdaptiveCapsClamped: an adaptive swap may build a backend
-// that answers MORE query kinds than the configured one (brute over
-// discrete data also quantifies), but the reported capability set must
-// stay the configured backend's — otherwise a client could observe
-// CapProbs appear during an all-brute interlude and vanish again after
-// one insert.
-func TestDynamicAdaptiveCapsClamped(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xc1a))
-	pts := constructions.RandomDiscrete(rng, 12, 2, 30, 1.0, 1)
-	sx := dynamicOver(t, BackendTwoStageDiscrete, FromDiscrete(pts),
-		ShardOptions{Shards: 2, Adaptive: true, AdaptiveCutoff: 64})
-	// Every shard is under the cutoff, so the whole fleet runs brute —
-	// whose own capability set on discrete data would be all three kinds.
-	for _, s := range sx.shards {
-		if s.ix.Name() != string(BackendBrute) {
-			t.Fatalf("shard built %q, want brute under the cutoff", s.ix.Name())
-		}
-	}
-	if got := sx.Capabilities(); got != CapNonzero {
-		t.Fatalf("capabilities = %v, want the configured backend's %v", got, CapNonzero)
-	}
-	if _, err := sx.QueryProbs(geom.Pt(1, 1), 0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("QueryProbs err = %v, want ErrUnsupported", err)
-	}
-	if _, err := sx.Insert(Item{Point: pts[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sx.Capabilities(); got != CapNonzero {
-		t.Fatalf("capabilities after mutation = %v, want %v", got, CapNonzero)
 	}
 }
 

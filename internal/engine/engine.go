@@ -347,6 +347,13 @@ func NewIndex(b Backend, opt BuildOptions) (Index, error) {
 // backends with real cell geometry report their own, everything else
 // falls back to the dataset-spacing estimate.
 func Build(b Backend, ds *Dataset, opt BuildOptions) (Index, error) {
+	return buildHinted(b, ds, opt, func() float64 { return autoQuantum(ds) })
+}
+
+// buildHinted is Build with the dataset-spacing estimate supplied by
+// spacing, which runs only when the backend has no hint of its own — a
+// composite hands every part the same memoized estimate.
+func buildHinted(b Backend, ds *Dataset, opt BuildOptions, spacing func() float64) (Index, error) {
 	ix, err := NewIndex(b, opt)
 	if err != nil {
 		return nil, err
@@ -354,7 +361,7 @@ func Build(b Backend, ds *Dataset, opt BuildOptions) (Index, error) {
 	if err := ix.Build(ds); err != nil {
 		return nil, fmt.Errorf("engine: build %s: %w", b, err)
 	}
-	return withQuantumHint(ix, ds), nil
+	return withQuantumHint(ix, ds, spacing), nil
 }
 
 // hintedIndex attaches the dataset-derived cache-quantum hint and the
@@ -378,14 +385,17 @@ func (h hintedIndex) Len() int { return h.n }
 
 // withQuantumHint wraps the built ix with its cache-quantum hint — the
 // adapter's own (computed from built geometry, e.g. the diagram's slab
-// widths) when it has one, the autoQuantum estimate of ds otherwise —
-// plus the dataset size for the latency-observation feedback loop.
-func withQuantumHint(ix Index, ds *Dataset) Index {
-	h := hintedIndex{Index: ix, hint: autoQuantum(ds), n: ds.N(), ds: ds}
+// widths) when it has one, the dataset-spacing estimate spacing()
+// otherwise — plus the dataset size for the latency-observation
+// feedback loop.
+func withQuantumHint(ix Index, ds *Dataset, spacing func() float64) Index {
+	h := hintedIndex{Index: ix, n: ds.N(), ds: ds}
 	if qh, ok := ix.(quantumHinter); ok {
 		if q := qh.QuantumHint(); q > 0 {
 			h.hint = q
+			return h
 		}
 	}
+	h.hint = spacing()
 	return h
 }

@@ -155,7 +155,8 @@ func TestShardKindCounters(t *testing.T) {
 
 // TestExplainKinds: every execution layer's Explain names the backend
 // serving each registered kind — including the registry-added top-k —
-// for planned, routed, sharded and plain configurations.
+// for planned, auto-composite ("routed"), sharded and plain
+// configurations.
 func TestExplainKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xe19))
 	discrete := FromDiscrete(constructions.RandomDiscrete(rng, 30, 3, 40, 1.0, 1))

@@ -57,12 +57,10 @@ type PlannerOptions struct {
 	// buy the fast structures.
 	Horizon float64
 	// Calibration supplies measured coefficients (e.g. LoadCalibration of
-	// a persisted BENCH_engine.json). When nil, a Build-time micro-probe
-	// calibrates the candidates on a small sample; set NoProbe to skip
-	// that and run on the seeded defaults.
+	// a persisted BENCH_engine.json). When nil the planner runs on the
+	// seeded DefaultCalibration, so the same dataset always gets the same
+	// plan.
 	Calibration Calibration
-	// NoProbe disables the Build-time micro-probe.
-	NoProbe bool
 	// RandomPenalty multiplies the estimated query cost of randomized
 	// approximating backends (Monte Carlo) when a deterministic
 	// alternative exists — the variance of an estimate is a cost too.
@@ -104,9 +102,10 @@ type Plan struct {
 	// Choices maps each supported query kind to its decision; kinds no
 	// backend can answer on this dataset are absent.
 	Choices map[Capability]Choice
-	// Probed reports whether a Build-time micro-probe calibrated the
-	// model (vs a supplied table or the seeded defaults).
-	Probed bool
+	// rule marks Auto's fixed plan (rulePlan): no cost estimates, each
+	// kind on the first capable backend of the rule. It changes only how
+	// the plan and its composite are named and explained.
+	rule bool
 }
 
 // Capabilities returns the union of planned kinds.
@@ -119,17 +118,27 @@ func (p *Plan) Capabilities() Capability {
 }
 
 // Explain renders the assignment, its cost estimates, and the beaten
-// alternatives — one line per query kind.
+// alternatives — one line per query kind. Auto's rule plan renders the
+// rule and its per-kind backends instead.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
+	if p.rule {
+		fmt.Fprintf(&sb, "rule-based auto (%s): first capable part answers\n", p.name())
+		for _, kind := range queryKinds() {
+			if ch, ok := p.Choices[kind]; ok {
+				fmt.Fprintf(&sb, "  %-8s → %s\n", kind, ch.Backend)
+			}
+		}
+		return sb.String()
+	}
 	// The topk share only renders when set, so plans (and snapshots) of
 	// three-kind workloads keep their exact historical header.
 	topk := ""
 	if p.Mix.TopK != 0 {
 		topk = fmt.Sprintf(" topk=%.2f", p.Mix.TopK)
 	}
-	fmt.Fprintf(&sb, "plan: n=%d, horizon %.0f queries (mix nonzero=%.2f probs=%.2f expected=%.2f%s), calibration=%s\n",
-		p.N, p.Horizon, p.Mix.Nonzero, p.Mix.Probs, p.Mix.Expected, topk, p.calibrationName())
+	fmt.Fprintf(&sb, "plan: n=%d, horizon %.0f queries (mix nonzero=%.2f probs=%.2f expected=%.2f%s), calibration=table\n",
+		p.N, p.Horizon, p.Mix.Nonzero, p.Mix.Probs, p.Mix.Expected, topk)
 	for _, kind := range queryKinds() {
 		ch, ok := p.Choices[kind]
 		if !ok {
@@ -145,11 +154,27 @@ func (p *Plan) Explain() string {
 	return sb.String()
 }
 
-func (p *Plan) calibrationName() string {
-	if p.Probed {
-		return "micro-probe"
+// name renders the composite's name: auto(brute+montecarlo) for a rule
+// plan (its distinct backends in kind order), planned(nonzero=…,…)
+// otherwise.
+func (p *Plan) name() string {
+	var parts []string
+	seen := map[Backend]bool{}
+	for _, kind := range queryKinds() {
+		ch, ok := p.Choices[kind]
+		switch {
+		case !ok:
+		case !p.rule:
+			parts = append(parts, fmt.Sprintf("%s=%s", kind, ch.Backend))
+		case !seen[ch.Backend]:
+			seen[ch.Backend] = true
+			parts = append(parts, string(ch.Backend))
+		}
 	}
-	return "table"
+	if p.rule {
+		return "auto(" + strings.Join(parts, "+") + ")"
+	}
+	return "planned(" + strings.Join(parts, ",") + ")"
 }
 
 // fmtNs renders a nanosecond estimate at a human scale.
@@ -310,30 +335,17 @@ func planFor(ds *Dataset, model *CostModel, popt PlannerOptions) *Plan {
 
 // PlanDataset computes the cost-based plan for ds without building
 // anything — the dry-run entry point (BuildPlanned both plans and
-// builds).
-func PlanDataset(ds *Dataset, bopt BuildOptions, popt PlannerOptions) *Plan {
-	model, probed := plannerModel(ds, bopt, popt)
-	plan := planFor(ds, model, popt)
-	plan.Probed = probed
-	return plan
+// builds). Without popt.Calibration the plan rests on the seeded
+// defaults, so it depends on ds and popt alone.
+func PlanDataset(ds *Dataset, popt PlannerOptions) *Plan {
+	return planFor(ds, NewCostModel(popt.Calibration), popt)
 }
 
-// plannerModel assembles the cost model: supplied calibration table,
-// else micro-probe, else seeded defaults.
-func plannerModel(ds *Dataset, bopt BuildOptions, popt PlannerOptions) (*CostModel, bool) {
-	if popt.Calibration != nil {
-		return NewCostModel(popt.Calibration), false
-	}
-	if popt.NoProbe {
-		return NewCostModel(nil), false
-	}
-	return NewCostModel(Calibrate(ds, bopt, Backends())), true
-}
-
-// plannedIndex is the planner's composite: one built instance per
-// distinct chosen backend, each query kind delegated to its assigned
-// part. It implements Index, so it shards, batches, serves and caches
-// exactly like a monolithic backend.
+// plannedIndex is the composite behind both backend choices: one built
+// instance per distinct backend of its plan, each query kind delegated
+// to its assigned part. The planner fills the plan by cost (planFor),
+// Auto by its fixed rule (rulePlan). It implements Index, so it shards,
+// batches, serves and caches exactly like a monolithic backend.
 type plannedIndex struct {
 	plan      *Plan
 	buildOpts BuildOptions
@@ -344,15 +356,7 @@ type plannedIndex struct {
 	ds        *Dataset // retained for snapshot export
 }
 
-func (px *plannedIndex) Name() string {
-	var parts []string
-	for _, kind := range queryKinds() {
-		if ch, ok := px.plan.Choices[kind]; ok {
-			parts = append(parts, fmt.Sprintf("%s=%s", kind, ch.Backend))
-		}
-	}
-	return "planned(" + strings.Join(parts, ",") + ")"
-}
+func (px *plannedIndex) Name() string { return px.plan.name() }
 
 func (px *plannedIndex) Capabilities() Capability { return px.caps }
 
@@ -366,8 +370,8 @@ func (px *plannedIndex) Plan() *Plan { return px.plan }
 func (px *plannedIndex) Explain() string { return px.plan.Explain() }
 
 // QuantumHint implements the adaptive cache-quantum hint: the finest
-// hint among the parts (the diagram backend reports real cell extents),
-// falling back to the dataset-spacing estimate.
+// hint among the parts (the diagram backend reports real cell extents)
+// and the dataset-spacing estimate.
 func (px *plannedIndex) QuantumHint() float64 { return px.hint }
 
 // kindBackend reports which backend serves kind (Engine.ObserveInto).
@@ -382,11 +386,20 @@ func (px *plannedIndex) Build(ds *Dataset) error {
 	px.caps = 0
 	px.n = ds.N()
 	px.ds = ds
+	// The dataset-spacing estimate sorts every centroid, so the parts
+	// without a hint of their own and the composite share one.
+	spacing, haveSpacing := 0.0, false
+	estimate := func() float64 {
+		if !haveSpacing {
+			spacing, haveSpacing = autoQuantum(ds), true
+		}
+		return spacing
+	}
 	for kind, ch := range px.plan.Choices {
 		ix, ok := parts[ch.Backend]
 		if !ok {
 			var err error
-			ix, err = Build(ch.Backend, ds, px.buildOpts)
+			ix, err = buildHinted(ch.Backend, ds, px.buildOpts, estimate)
 			if err != nil {
 				return fmt.Errorf("planned %s: %w", ch.Backend, err)
 			}
@@ -398,7 +411,7 @@ func (px *plannedIndex) Build(ds *Dataset) error {
 		px.byKind[kind] = ix
 		px.caps |= kind
 	}
-	px.hint = autoQuantum(ds)
+	px.hint = estimate()
 	for _, ix := range parts {
 		if h, ok := ix.(quantumHinter); ok {
 			if q := h.QuantumHint(); q > 0 && (px.hint <= 0 || q < px.hint) {
@@ -437,32 +450,40 @@ func (px *plannedIndex) QueryTopK(q geom.Point, k int, eps float64) ([]quantify.
 	return nil, ErrUnsupported
 }
 
+// buildPlannedIndex builds the composite for plan p over ds.
+func buildPlannedIndex(p *Plan, bopt BuildOptions, ds *Dataset) (Index, error) {
+	px := &plannedIndex{plan: p, buildOpts: bopt}
+	if err := px.Build(ds); err != nil {
+		return nil, err
+	}
+	return px, nil
+}
+
+// plannedFactory is the shard factory of planner-built fleets: every
+// (sub-)dataset is planned at its own size under one cost model.
+func plannedFactory(model *CostModel, popt PlannerOptions, bopt BuildOptions) func(*Dataset) (Index, error) {
+	return func(sub *Dataset) (Index, error) {
+		return buildPlannedIndex(planFor(sub, model, popt), bopt, sub)
+	}
+}
+
 // BuildPlanned builds the cost-based composite for ds: the planner picks
 // a backend per query kind and the result answers every kind some
 // backend could answer — the cost-optimal counterpart of BuildAuto's
 // rule-based choice. With sopt.Shards ≥ 1 the dataset is sharded and
 // *each shard re-plans at its own size* (a small shard may keep the
-// cheap-to-build oracle while a large one buys the two-stage structure),
-// replacing the old hardcoded small→brute / large→two-stage rule. The
-// calibration (probe or table) runs once and is shared by all shards.
+// cheap-to-build oracle while a large one buys the two-stage structure).
+// The cost model (popt.Calibration over the seeded defaults) is shared
+// by all shards.
 func BuildPlanned(ds *Dataset, bopt BuildOptions, sopt ShardOptions, popt PlannerOptions) (Index, *Plan, error) {
 	popt = popt.withDefaults()
 	bopt = bopt.withDefaults()
-	model, probed := plannerModel(ds, bopt, popt)
+	model := NewCostModel(popt.Calibration)
 	plan := planFor(ds, model, popt)
-	plan.Probed = probed
 	if len(plan.Choices) == 0 {
 		return nil, nil, fmt.Errorf("engine: build planned: no backend can serve this dataset")
 	}
-	factory := func(sub *Dataset) (Index, error) {
-		p := planFor(sub, model, popt)
-		p.Probed = probed
-		px := &plannedIndex{plan: p, buildOpts: bopt}
-		if err := px.Build(sub); err != nil {
-			return nil, err
-		}
-		return px, nil
-	}
+	factory := plannedFactory(model, popt, bopt)
 	if sopt.Shards <= 0 {
 		ix, err := factory(ds)
 		if err != nil {
@@ -477,9 +498,88 @@ func BuildPlanned(ds *Dataset, bopt BuildOptions, sopt ShardOptions, popt Planne
 	sx.planNote = plan.Explain()
 	sx.model = model // prices the insert-buffer flush threshold (mutlog.go)
 	sx.popt = &popt
-	sx.probed = probed
 	if err := sx.Build(ds); err != nil {
 		return nil, nil, fmt.Errorf("engine: build planned: %w", err)
 	}
 	return sx, plan, nil
+}
+
+// autoRule is the automatic backend choice, a fixed rule over the
+// dataset kind:
+//
+//   - squares → the two-stage L∞ structure (the only family that serves
+//     them);
+//   - discrete points → the brute reference, which covers every query
+//     kind exactly;
+//   - anything else (continuous or mixed points) → brute for NN≠0 with
+//     Monte Carlo for π and top-k, so a probs query never lands on a
+//     backend that cannot answer it.
+//
+// Each kind goes to the first listed backend that answers it (rulePlan),
+// so for every dataset kind Auto supports every query kind that at
+// least one backend could support on that dataset.
+func autoRule(ds *Dataset) []Backend {
+	switch {
+	case ds.Squares != nil:
+		return []Backend{BackendTwoStageLinf}
+	case ds.Discrete != nil:
+		return []Backend{BackendBrute}
+	}
+	return []Backend{BackendBrute, BackendMonteCarlo}
+}
+
+// rulePlan assigns every query kind to the first of parts that can
+// answer it, as caps reports — Auto's fixed plan.
+func rulePlan(n int, parts []Backend, caps func(Backend) Capability) *Plan {
+	p := &Plan{N: n, Choices: map[Capability]Choice{}, rule: true}
+	for _, kind := range queryKinds() {
+		for _, b := range parts {
+			if caps(b).Has(kind) {
+				p.Choices[kind] = Choice{Backend: b}
+				break
+			}
+		}
+	}
+	return p
+}
+
+// autoFactory returns the name and shard factory of Auto's choice for
+// ds: a rule naming one backend builds that bare backend, a two-part
+// rule the plannedIndex over rulePlan.
+func autoFactory(ds *Dataset, bopt BuildOptions) (string, func(*Dataset) (Index, error)) {
+	rule := autoRule(ds)
+	if len(rule) == 1 {
+		b := rule[0]
+		return string(b), func(sub *Dataset) (Index, error) { return Build(b, sub, bopt) }
+	}
+	names := make([]string, len(rule))
+	for i, b := range rule {
+		names[i] = string(b)
+	}
+	bopt = bopt.withDefaults()
+	return strings.Join(names, "+"), func(sub *Dataset) (Index, error) {
+		p := rulePlan(sub.N(), rule, func(b Backend) Capability { return datasetCaps(b, sub) })
+		return buildPlannedIndex(p, bopt, sub)
+	}
+}
+
+// BuildAuto builds the automatically selected backend (or backend
+// combination) for ds, sharded when sopt.Shards ≥ 1.
+func BuildAuto(ds *Dataset, bopt BuildOptions, sopt ShardOptions) (Index, error) {
+	name, factory := autoFactory(ds, bopt)
+	if sopt.Shards <= 0 {
+		ix, err := factory(ds)
+		if err != nil {
+			return nil, fmt.Errorf("engine: build auto: %w", err)
+		}
+		return ix, nil
+	}
+	sx := newShardedFunc(name, factory, bopt, sopt)
+	if ds.Squares != nil {
+		sx.metric = metricLinf
+	}
+	if err := sx.Build(ds); err != nil {
+		return nil, fmt.Errorf("engine: build auto: %w", err)
+	}
+	return sx, nil
 }

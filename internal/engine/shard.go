@@ -40,19 +40,6 @@ type ShardOptions struct {
 	// BuildWorkers bounds the parallel per-shard builds. Default
 	// runtime.NumCPU().
 	BuildWorkers int
-	// Adaptive enables per-shard backend choice (the ROADMAP's "small
-	// shard → brute, large → two-stage"): a shard holding at most
-	// AdaptiveCutoff items builds the brute reference backend — O(1)
-	// rebuilds under mutation churn — while larger shards build the
-	// two-stage structure of their dataset kind. A swap is only made
-	// when it preserves the sharded index's capability set (e.g. for
-	// discrete data behind the brute backend, where two-stage would drop
-	// π and E[d], the configured backend is kept). Ignored by the
-	// factory-built auto router.
-	Adaptive bool
-	// AdaptiveCutoff is the small-shard threshold for Adaptive.
-	// Default 32.
-	AdaptiveCutoff int
 	// InsertBuffer enables the log-structured insert buffer (mutlog.go):
 	// inserts append to a small delta shard queried alongside the main
 	// shards instead of rebuilding an owning shard per item, and the
@@ -67,9 +54,6 @@ type ShardOptions struct {
 func (o ShardOptions) withDefaults() ShardOptions {
 	if o.BuildWorkers <= 0 {
 		o.BuildWorkers = runtime.NumCPU()
-	}
-	if o.AdaptiveCutoff <= 0 {
-		o.AdaptiveCutoff = 32
 	}
 	return o
 }
@@ -234,12 +218,11 @@ type ShardedIndex struct {
 	// the seeded defaults.
 	model *CostModel
 
-	// popt/probed record the planner configuration when the factory is
-	// the cost-based planner (BuildPlanned). Snapshots persist them (with
-	// the model's coefficients) so a restored index re-plans shards
-	// identically under future mutations without re-probing.
-	popt   *PlannerOptions
-	probed bool
+	// popt records the planner configuration when the factory is the
+	// cost-based planner (BuildPlanned). Snapshots persist it (with the
+	// model's coefficients) so a restored index re-plans shards
+	// identically under future mutations.
+	popt *PlannerOptions
 }
 
 // NewSharded returns an unbuilt sharded wrapper over the named backend.
@@ -260,10 +243,10 @@ func NewSharded(b Backend, bopt BuildOptions, sopt ShardOptions) (*ShardedIndex,
 	}, nil
 }
 
-// newShardedFunc is NewSharded for factory-built backends (the auto
-// router and the planner); the metric is always L2 there. bopt is the
-// build configuration the factory closes over — recorded so adaptive
-// rebuilds and snapshots see the same options the factory uses.
+// newShardedFunc is NewSharded for factory-built backends (Auto and the
+// planner); the metric defaults to L2 there. bopt is the build
+// configuration the factory closes over — recorded so snapshots see the
+// same options the factory uses.
 func newShardedFunc(name string, factory func(*Dataset) (Index, error), bopt BuildOptions, sopt ShardOptions) *ShardedIndex {
 	return &ShardedIndex{name: name, factory: factory, metric: metricL2, opt: sopt.withDefaults(), bopt: bopt}
 }
@@ -641,7 +624,7 @@ func (sx *ShardedIndex) Build(ds *Dataset) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ix, err := sx.shardFactory(s.sub)
+			ix, err := sx.factory(s.sub)
 			if err != nil {
 				mu.Lock()
 				if berr == nil {
@@ -794,10 +777,8 @@ func (sx *ShardedIndex) shardTemps() []float64 {
 // recomputeCaps refreshes the capability intersection over the built
 // shards, reporting whether at least one shard is built. The dynamic
 // layer calls it after every mutation; for named backends the result
-// is additionally clamped to the configured backend's capability set,
-// so adaptive swaps (a brute-only interlude can answer MORE kinds than
-// the configured two-stage) never let the reported set grow and then
-// shrink back mid-stream.
+// is additionally clamped to the configured backend's capability set on
+// the live dataset.
 func (sx *ShardedIndex) recomputeCaps() bool {
 	sx.caps = allKindCaps()
 	built := 0

@@ -63,7 +63,9 @@ type snapChoice struct {
 
 // snapPlan is a Plan. TopK (format version 2) is the top-k mix share;
 // version-1 files leave it absent and it unmarshals to 0 — the exact
-// mix a version-1 planner ran with.
+// mix a version-1 planner ran with. Rule marks Auto's fixed plan. Files
+// that predate the deterministic planner also carry a Probed flag, which
+// decoding ignores.
 type snapPlan struct {
 	N        int
 	Nonzero  float64
@@ -71,7 +73,7 @@ type snapPlan struct {
 	Expected float64
 	TopK     float64 `json:",omitempty"`
 	Horizon  float64
-	Probed   bool
+	Rule     bool `json:",omitempty"`
 	Choices  []snapChoice
 }
 
@@ -80,7 +82,9 @@ type snapPlan struct {
 type snapIndexMeta struct {
 	// Kind: "brute" (no payload), "kd" (one tree slab), "kd2" (two tree
 	// slabs), "rebuild" (no payload; reconstructed from the dataset),
-	// "planned" / "routed" (composite; Parts' payloads follow in order).
+	// "planned" (composite; Parts' payloads follow in order). Files of
+	// format version 3 and older may also hold "routed", Auto's former
+	// composite, which restores as a planned one.
 	Kind    string
 	Backend string  `json:",omitempty"`
 	Hinted  bool    `json:",omitempty"`
@@ -119,7 +123,6 @@ type snapPlanner struct {
 	TopK          float64 `json:",omitempty"` // format version 2
 	Horizon       float64
 	RandomPenalty float64
-	Probed        bool
 }
 
 // snapRun is the Engine-level serving state.
@@ -257,7 +260,6 @@ func exportSharded(sw *snapshot.Writer, meta *snapMeta, sx *ShardedIndex) error 
 			TopK:          sx.popt.Mix.TopK,
 			Horizon:       sx.popt.Horizon,
 			RandomPenalty: sx.popt.RandomPenalty,
-			Probed:        sx.probed,
 		}
 	default:
 		meta.Sub = "auto"
@@ -314,8 +316,8 @@ func exportSharded(sw *snapshot.Writer, meta *snapMeta, sx *ShardedIndex) error 
 	return nil
 }
 
-// exportPlain serializes an unsharded index (hinted adapter, planned
-// composite, or auto-routed composite).
+// exportPlain serializes an unsharded index (hinted adapter or planned
+// composite).
 func exportPlain(sw *snapshot.Writer, meta *snapMeta, ix Index) error {
 	ds, err := datasetOf(ix)
 	if err != nil {
@@ -354,8 +356,6 @@ func datasetOf(ix Index) (*Dataset, error) {
 		return v.ds, nil
 	case *plannedIndex:
 		return v.ds, nil
-	case *routedIndex:
-		return v.ds, nil
 	}
 	return nil, fmt.Errorf("cannot snapshot index type %T", ix)
 }
@@ -379,10 +379,6 @@ func buildOptsOf(ix Index) BuildOptions {
 		return v.opt
 	case *plannedIndex:
 		return v.buildOpts
-	case *routedIndex:
-		if len(v.parts) > 0 {
-			return buildOptsOf(v.parts[0])
-		}
 	}
 	return BuildOptions{}
 }
@@ -513,16 +509,6 @@ func exportIndexMeta(ix Index) (*snapIndexMeta, error) {
 			im.Parts = append(im.Parts, *pm)
 		}
 		return im, nil
-	case *routedIndex:
-		im := &snapIndexMeta{Kind: "routed", Hint: v.hint, N: v.n}
-		for _, part := range v.parts {
-			pm, err := exportIndexMeta(part)
-			if err != nil {
-				return nil, err
-			}
-			im.Parts = append(im.Parts, *pm)
-		}
-		return im, nil
 	default:
 		return nil, fmt.Errorf("cannot snapshot index type %T", v)
 	}
@@ -547,12 +533,6 @@ func exportIndexPayload(e *snapshot.Enc, ix Index) error {
 		encodeSlab(e, v.ts.Tree())
 	case *plannedIndex:
 		for _, part := range v.partsInOrder() {
-			if err := exportIndexPayload(e, part); err != nil {
-				return err
-			}
-		}
-	case *routedIndex:
-		for _, part := range v.parts {
 			if err := exportIndexPayload(e, part); err != nil {
 				return err
 			}
@@ -591,7 +571,7 @@ func containsRebuild(im *snapIndexMeta) bool {
 func planToSnap(p *Plan) *snapPlan {
 	sp := &snapPlan{
 		N: p.N, Nonzero: p.Mix.Nonzero, Probs: p.Mix.Probs, Expected: p.Mix.Expected,
-		TopK: p.Mix.TopK, Horizon: p.Horizon, Probed: p.Probed,
+		TopK: p.Mix.TopK, Horizon: p.Horizon, Rule: p.rule,
 	}
 	for _, kind := range queryKinds() {
 		if ch, ok := p.Choices[kind]; ok {
@@ -961,26 +941,12 @@ func restoreSharded(sr *snapshot.Reader, meta *snapMeta, dd *decodedDataset) (*S
 			},
 			Horizon:       meta.Planner.Horizon,
 			RandomPenalty: meta.Planner.RandomPenalty,
-			NoProbe:       true, // never re-probe: the persisted model has the coefficients
 		}
 		sx.popt = &popt
-		sx.probed = meta.Planner.Probed
-		model := sx.model
-		if model == nil {
-			model = NewCostModel(nil)
-			sx.model = model
+		if sx.model == nil {
+			sx.model = NewCostModel(nil)
 		}
-		probed := sx.probed
-		bopt := sx.bopt
-		sx.factory = func(sub *Dataset) (Index, error) {
-			p := planFor(sub, model, popt)
-			p.Probed = probed
-			px := &plannedIndex{plan: p, buildOpts: bopt}
-			if err := px.Build(sub); err != nil {
-				return nil, err
-			}
-			return px, nil
-		}
+		sx.factory = plannedFactory(sx.model, popt, sx.bopt)
 	default:
 		return nil, errCorrupt("unknown sharded factory %q", meta.Sub)
 	}
@@ -1043,7 +1009,7 @@ func restoreSharded(sr *snapshot.Reader, meta *snapMeta, dd *decodedDataset) (*S
 		sx.buf = &shard{ids: ids, bbox: bbox}
 		if len(ids) > 0 {
 			sx.buf.sub = subset(sx.ds, ids)
-			ix, err := sx.shardFactory(sx.buf.sub)
+			ix, err := sx.factory(sx.buf.sub)
 			if err != nil {
 				return nil, fmt.Errorf("insert buffer rebuild: %w", err)
 			}
@@ -1246,20 +1212,32 @@ func restoreAdapter(im *snapIndexMeta, d *snapshot.Dec, sub *Dataset, bopt Build
 			return nil, fmt.Errorf("rebuild %s: %w", im.Backend, err)
 		}
 		return ix, nil
-	case "planned":
-		if im.Plan == nil || len(im.Plan.Choices) == 0 {
+	case "planned", "routed":
+		if im.Kind == "planned" && (im.Plan == nil || len(im.Plan.Choices) == 0) {
 			return nil, errCorrupt("planned composite without a plan")
 		}
-		plan := planFromSnap(im.Plan)
-		px := &plannedIndex{plan: plan, buildOpts: bopt, hint: im.Hint, n: im.N, ds: sub}
+		if len(im.Parts) == 0 {
+			return nil, errCorrupt("%s composite without parts", im.Kind)
+		}
 		byBackend := map[Backend]Index{}
+		var order []Backend
 		for pi := range im.Parts {
 			part, err := restoreIndex(&im.Parts[pi], d, sub, bopt)
 			if err != nil {
 				return nil, err
 			}
-			byBackend[Backend(im.Parts[pi].Backend)] = part
+			b := Backend(im.Parts[pi].Backend)
+			byBackend[b] = part
+			order = append(order, b)
 		}
+		var plan *Plan
+		if im.Kind == "planned" {
+			plan = planFromSnap(im.Plan)
+		} else {
+			// Auto's rule: each kind on the first part that answers it.
+			plan = rulePlan(im.N, order, func(b Backend) Capability { return byBackend[b].Capabilities() })
+		}
+		px := &plannedIndex{plan: plan, buildOpts: bopt, hint: im.Hint, n: im.N, ds: sub}
 		px.byKind = map[Capability]Index{}
 		for kind, ch := range plan.Choices {
 			part, ok := byBackend[ch.Backend]
@@ -1273,20 +1251,6 @@ func restoreAdapter(im *snapIndexMeta, d *snapshot.Dec, sub *Dataset, bopt Build
 			px.caps |= kind
 		}
 		return px, nil
-	case "routed":
-		r := &routedIndex{hint: im.Hint, n: im.N, ds: sub}
-		if len(im.Parts) == 0 {
-			return nil, errCorrupt("routed composite without parts")
-		}
-		for pi := range im.Parts {
-			part, err := restoreIndex(&im.Parts[pi], d, sub, bopt)
-			if err != nil {
-				return nil, err
-			}
-			r.parts = append(r.parts, part)
-			r.caps |= part.Capabilities()
-		}
-		return r, nil
 	default:
 		return nil, errCorrupt("unknown index kind %q", im.Kind)
 	}
@@ -1297,8 +1261,8 @@ func planFromSnap(sp *snapPlan) *Plan {
 		N:       sp.N,
 		Mix:     Workload{Nonzero: sp.Nonzero, Probs: sp.Probs, Expected: sp.Expected, TopK: sp.TopK},
 		Horizon: sp.Horizon,
-		Probed:  sp.Probed,
 		Choices: map[Capability]Choice{},
+		rule:    sp.Rule,
 	}
 	for _, ch := range sp.Choices {
 		p.Choices[Capability(ch.Kind)] = Choice{

@@ -35,18 +35,21 @@ type compatQuery struct {
 	}
 }
 
-// TestSnapshotCompat restores the checked-in version-1 and version-2
-// fixtures with the current (version-3) reader and asserts the restored
-// engines still report the recorded Explain, capabilities, cache
-// quantum and answers — the guarantee that bumping the format version
-// keeps old files readable: a v1 plan (no top-k entries) restores to
+// TestSnapshotCompat restores the checked-in fixtures with the current
+// reader and asserts the restored engines still report the recorded
+// Explain, capabilities, cache quantum and answers — the guarantee that
+// old files stay readable: a v1 plan (no top-k entries) restores to
 // exactly the engine its writer meant (the three original kinds,
-// nothing more), and a v2 file (no adaptive state) restores with cold
-// shard temperatures and the replanning loop disabled.
+// nothing more), a v2 file (no adaptive state) restores with cold shard
+// temperatures and the replanning loop disabled, and the v3 Auto disks
+// files (brute NN≠0 with Monte Carlo π, written as "routed" index
+// sections) restore as planned composites with Auto's rule, answering
+// π bit for bit.
 func TestSnapshotCompat(t *testing.T) {
 	for _, name := range []string{
 		"engine_v1_sharded_planned", "engine_v1_plain_kd",
 		"engine_v2_sharded_planned", "engine_v2_plain_kd",
+		"engine_v3_sharded_auto_disks", "engine_v3_plain_auto_disks",
 	} {
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
@@ -115,18 +118,19 @@ func TestSnapshotCompat(t *testing.T) {
 				t.Error("restored v1 planned engine gained CapTopK")
 			}
 
-			// Pre-v3 files carry no adaptive state: the restored engine
+			// No fixture carries adaptive state (pre-v3 files cannot; the
+			// v3 ones were written without the loop): the restored engine
 			// must report cold temperatures and no replan history, with the
 			// loop disabled.
 			st := eng.Stats()
 			if st.ShardTemps != nil {
-				t.Errorf("restored pre-v3 engine has shard temps %v", st.ShardTemps)
+				t.Errorf("restored engine has shard temps %v", st.ShardTemps)
 			}
 			if st.Replans != 0 || st.LastReplanReason != "" {
-				t.Errorf("restored pre-v3 engine has replan history (%d, %q)", st.Replans, st.LastReplanReason)
+				t.Errorf("restored engine has replan history (%d, %q)", st.Replans, st.LastReplanReason)
 			}
 			if _, err := eng.Replan(); err == nil {
-				t.Error("restored pre-v3 engine accepted Replan (loop should be disabled)")
+				t.Error("restored engine accepted Replan (loop should be disabled)")
 			}
 
 			// Re-snapshotting writes the current version, and the rewritten
@@ -167,6 +171,13 @@ func TestSnapshotVersionBounds(t *testing.T) {
 	}
 	if v := uint16(raw2[4]) | uint16(raw2[5])<<8; v != 2 {
 		t.Fatalf("v2 fixture header version = %d, want 2", v)
+	}
+	raw3, err := os.ReadFile(filepath.Join("testdata", "engine_v3_plain_auto_disks.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := uint16(raw3[4]) | uint16(raw3[5])<<8; v != 3 {
+		t.Fatalf("v3 fixture header version = %d, want 3", v)
 	}
 	for _, v := range []uint16{0, snapshot.Version + 1, math.MaxUint16} {
 		bad := append([]byte(nil), raw...)

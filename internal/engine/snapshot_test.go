@@ -121,8 +121,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			return NewEngine(ix, Options{})
 		}},
 		{"sharded-auto-disks-routed", func(t *testing.T) *Engine {
-			// Continuous family: each shard is a brute+montecarlo composite,
-			// exercising the routed and rebuild restore paths.
+			// Continuous family: each shard is Auto's brute+montecarlo
+			// composite, exercising the planned and rebuild restore paths.
 			ix, err := BuildAuto(disks, BuildOptions{MCRounds: 16}, ShardOptions{Shards: 3})
 			if err != nil {
 				t.Fatal(err)

@@ -13,8 +13,9 @@
 //
 //	go run ./internal/engine/testdata/gen_fixtures.go
 //
-// and rename the outputs to the frozen version (engine_v1.snap etc.)
-// before committing.
+// Outputs are named after the writer's format version
+// (engine_v<N>_<config>.snap); commit only the files of configurations
+// not yet frozen at that version — checked-in fixtures never change.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 
 	"unn/internal/engine"
 	"unn/internal/geom"
+	"unn/internal/snapshot"
 	"unn/internal/uncertain"
 )
 
@@ -85,12 +87,12 @@ func main() {
 	// coefficients, buffer state).
 	ix, _, err := engine.BuildPlanned(ds, engine.BuildOptions{},
 		engine.ShardOptions{Shards: 3, InsertBuffer: true},
-		engine.PlannerOptions{Mix: engine.Workload{Nonzero: 1, Probs: 0.5, Expected: 0.25}, NoProbe: true})
+		engine.PlannerOptions{Mix: engine.Workload{Nonzero: 1, Probs: 0.5, Expected: 0.25}})
 	if err != nil {
 		panic(err)
 	}
 	eng := engine.NewEngine(ix, engine.Options{Workers: 2, CacheSize: 32, CacheQuantum: 0.25})
-	emit(dir, "engine_v2_sharded_planned", eng)
+	emit(dir, "sharded_planned", eng)
 
 	// Configuration 2: plain named backend with a kd-tree payload — the
 	// zero-copy slab restore path.
@@ -102,10 +104,30 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	emit(dir, "engine_v2_plain_kd", engine.NewEngine(dix, engine.Options{Workers: 1}))
+	emit(dir, "plain_kd", engine.NewEngine(dix, engine.Options{Workers: 1}))
+
+	// Configurations 3 and 4: the automatic backend choice over disks,
+	// sharded (k=3) and monolithic — the brute NN≠0 oracle together with
+	// Monte Carlo for π and top-k (format version 3 and older wrote this
+	// composite as a "routed" index section).
+	adisks := make([]geom.Disk, 48)
+	for i := range adisks {
+		adisks[i] = geom.DiskAt(rng.Float64()*100, rng.Float64()*100, 0.5+rng.Float64()*3)
+	}
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"sharded_auto_disks", 3}, {"plain_auto_disks", 0}} {
+		aix, err := engine.BuildAuto(engine.FromDisks(adisks), engine.BuildOptions{}, engine.ShardOptions{Shards: c.shards})
+		if err != nil {
+			panic(err)
+		}
+		emit(dir, c.name, engine.NewEngine(aix, engine.Options{Workers: 2, CacheSize: 32, CacheQuantum: -1}))
+	}
 }
 
-func emit(dir, name string, eng *engine.Engine) {
+func emit(dir, config string, eng *engine.Engine) {
+	name := fmt.Sprintf("engine_v%d_%s", snapshot.Version, config)
 	var buf bytes.Buffer
 	if err := engine.WriteSnapshot(&buf, eng); err != nil {
 		panic(err)

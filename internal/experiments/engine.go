@@ -1271,7 +1271,7 @@ func AdaptiveBench(opt Options) ([]BenchRecord, *Table) {
 	side := float64(n)
 	ds := engine.FromDiscrete(constructions.RandomDiscrete(rng, n, 2, side, 2.0, 1))
 	preMix := engine.Workload{Probs: 1, Nonzero: 0.25, Expected: 0.01}
-	popt := engine.PlannerOptions{Mix: preMix, NoProbe: true}
+	popt := engine.PlannerOptions{Mix: preMix}
 
 	// Two independent builds of the same plan: the replan swaps shard
 	// backends in place, so the frozen control needs its own fleet.

@@ -33,8 +33,8 @@
 //
 // WithPlanner replaces the rule-based automatic backend choice with a
 // query planner: per-backend build and query costs are estimated from
-// the paper's own asymptotics, calibrated to the machine (a Build-time
-// micro-probe, or a persisted BENCH_engine.json via WithCalibration),
+// the paper's own asymptotics — with seeded constants, or calibrated to
+// the machine from a persisted BENCH_engine.json via WithCalibration —
 // and each query kind is assigned its cheapest capable backend — e.g.
 // one discrete handle serving NN≠0 from the Theorem 3.2 two-stage
 // structure, π from the Theorem 4.7 spiral search, and E[d] from the
@@ -83,11 +83,8 @@
 // queries (reads see the index strictly before or after a mutation,
 // never mid-rebalance) and flushes the answer cache. On the Serve
 // stream the same mutations travel as OpInsert/OpDelete ops in
-// Query.Kind. Monolithic handles return ErrImmutable. With
-// WithShardAdaptive, rebuilds also pick each shard's backend by size:
-// small shards take the brute reference (cheap rebuilds under churn),
-// large ones the two-stage structure, whenever the swap preserves the
-// handle's capability set.
+// Query.Kind. Monolithic handles return ErrImmutable. Under WithPlanner,
+// every rebuilt shard is re-planned at its own size.
 //
 // Bursts amortize further: Handle.BatchMutate applies a whole run of
 // mutations under one write lock and rebuilds each touched shard once
@@ -192,12 +189,12 @@ type Backend = engine.Backend
 // supports (its Capabilities); the Handle rejects the rest with
 // ErrUnsupported.
 const (
-	// BackendAuto picks the backend(s) by dataset kind so every query
-	// kind some backend could answer is supported: the Lemma 2.1 /
-	// Eq. (2) reference evaluator for discrete points, the two-stage L∞
-	// structure for squares, and for continuous (or mixed) points the
-	// reference NN≠0 oracle routed together with the Monte-Carlo
-	// quantifier.
+	// BackendAuto picks the backend(s) by a fixed rule on the dataset
+	// kind so every query kind some backend could answer is supported:
+	// the Lemma 2.1 / Eq. (2) reference evaluator for discrete points,
+	// the two-stage L∞ structure for squares, and for continuous (or
+	// mixed) points the reference NN≠0 oracle together with the
+	// Monte-Carlo quantifier for π and top-k.
 	BackendAuto Backend = "auto"
 	// BackendBrute is the exact reference: Lemma 2.1 NN≠0 oracle, the
 	// Eq. (2) sweep for π, and a linear expected-distance scan.
@@ -315,18 +312,17 @@ type Answer = engine.Answer
 type Option func(*openConfig)
 
 type openConfig struct {
-	backend     Backend
-	build       engine.BuildOptions
-	run         engine.Options
-	shard       engine.ShardOptions
-	planner     engine.PlannerOptions
-	replanSet   bool  // WithAdaptivePlanner given (implies plannerSet)
-	plannerSet  bool  // WithPlanner (or a planner shaping option) given
-	shardsSet   bool  // WithShards given (its k must then be ≥ 1)
-	splitSet    bool  // WithShardGrid given (meaningless without WithShards)
-	adaptiveSet bool  // WithShardAdaptive given (meaningless without WithShards)
-	bufferSet   bool  // WithInsertBuffer given (meaningless without WithShards)
-	calErr      error // WithCalibration load failure, surfaced by Open
+	backend    Backend
+	build      engine.BuildOptions
+	run        engine.Options
+	shard      engine.ShardOptions
+	planner    engine.PlannerOptions
+	replanSet  bool  // WithAdaptivePlanner given (implies plannerSet)
+	plannerSet bool  // WithPlanner (or a planner shaping option) given
+	shardsSet  bool  // WithShards given (its k must then be ≥ 1)
+	splitSet   bool  // WithShardGrid given (meaningless without WithShards)
+	bufferSet  bool  // WithInsertBuffer given (meaningless without WithShards)
+	calErr     error // WithCalibration load failure, surfaced by Open
 }
 
 // WithBackend selects the index structure. Default BackendAuto.
@@ -360,26 +356,6 @@ func WithShardGrid() Option {
 	}
 }
 
-// WithShardAdaptive enables per-shard backend choice on a sharded
-// handle: when a mutation (or the initial build) gives a shard at most
-// cutoff items (≤ 0 selects the default, 32), that shard runs the brute
-// reference backend — constant-time rebuilds under churn — while larger
-// shards run the two-stage structure of the dataset kind. Swaps happen
-// only when they preserve the handle's capability set — so under
-// BackendAuto (which already picks the full-capability reference) the
-// knob has no effect; pair it with an explicit NN≠0 backend such as
-// BackendTwoStageDiscrete or BackendTwoStageDisks. Requires WithShards.
-// WithPlanner generalizes this fixed rule: under the cost-based planner
-// every shard re-plans all its query kinds at its own size from
-// calibrated costs, no cutoff to tune — combining the two is rejected.
-func WithShardAdaptive(cutoff int) Option {
-	return func(c *openConfig) {
-		c.shard.Adaptive = true
-		c.shard.AdaptiveCutoff = cutoff
-		c.adaptiveSet = true
-	}
-}
-
 // WithInsertBuffer enables the log-structured insert buffer on a
 // sharded handle: Insert (and the insert entries of BatchMutate and the
 // Serve stream) appends to a small delta shard that is queried
@@ -401,12 +377,12 @@ func WithInsertBuffer(threshold int) Option {
 
 // WithPlanner replaces the rule-based automatic backend choice with the
 // cost-based query planner: per query kind, the cheapest capable backend
-// is picked from calibrated build/query cost estimates (a Build-time
-// micro-probe by default; see WithCalibration for using a persisted
-// table), and the handle serves each kind through its assigned backend —
-// possibly a composite, e.g. the two-stage structure for NN≠0, spiral
-// search for π, and the expected-distance index for E[d] on one discrete
-// dataset. Handle.Explain reports the decision with its cost estimates.
+// is picked from build/query cost estimates (the seeded defaults, or a
+// persisted table given by WithCalibration), and the handle serves each
+// kind through its assigned backend — possibly a composite, e.g. the
+// two-stage structure for NN≠0, spiral search for π, and the
+// expected-distance index for E[d] on one discrete dataset.
+// Handle.Explain reports the decision with its cost estimates.
 // Combined with WithShards, every shard re-plans at its own size (a
 // small shard may keep the cheap-to-rebuild oracle while large ones buy
 // the fast structures). Requires the default BackendAuto: the planner
@@ -462,8 +438,8 @@ func WithAdaptivePlanner() Option {
 
 // WithCalibration loads the planner's cost-model coefficients from a
 // persisted BENCH_engine.json (written by `unnbench -json`) instead of
-// micro-probing at Build time. Implies WithPlanner; a missing or
-// malformed table fails Open rather than silently planning on defaults.
+// the seeded defaults. Implies WithPlanner; a missing or malformed table
+// fails Open rather than silently planning on defaults.
 func WithCalibration(path string) Option {
 	return func(c *openConfig) {
 		c.plannerSet = true
@@ -645,9 +621,6 @@ func openDataset(ds *engine.Dataset, opts []Option) (*Handle, error) {
 	if cfg.splitSet && !cfg.shardsSet {
 		return nil, fmt.Errorf("unn: WithShardGrid requires WithShards(k) to enable sharding")
 	}
-	if cfg.adaptiveSet && !cfg.shardsSet {
-		return nil, fmt.Errorf("unn: WithShardAdaptive requires WithShards(k) to enable sharding")
-	}
 	if cfg.bufferSet && !cfg.shardsSet {
 		return nil, fmt.Errorf("unn: WithInsertBuffer requires WithShards(k) to enable sharding")
 	}
@@ -656,9 +629,6 @@ func openDataset(ds *engine.Dataset, opts []Option) (*Handle, error) {
 	}
 	if cfg.plannerSet && cfg.backend != BackendAuto {
 		return nil, fmt.Errorf("unn: WithPlanner replaces the backend choice; drop WithBackend(%s)", cfg.backend)
-	}
-	if cfg.plannerSet && cfg.adaptiveSet {
-		return nil, fmt.Errorf("unn: WithPlanner already plans every shard by cost; drop WithShardAdaptive")
 	}
 	if cfg.replanSet && !cfg.shardsSet {
 		return nil, fmt.Errorf("unn: WithAdaptivePlanner requires WithShards(k): the loop replans per shard")
@@ -670,13 +640,13 @@ func openDataset(ds *engine.Dataset, opts []Option) (*Handle, error) {
 	switch {
 	case cfg.plannerSet:
 		// The cost-based planner: per query kind, the cheapest capable
-		// backend by calibrated estimate (micro-probe or table).
+		// backend by estimated cost (seeded defaults or a table).
 		ix, _, err = engine.BuildPlanned(ds, cfg.build, cfg.shard, cfg.planner)
 	case cfg.backend == BackendAuto:
-		// Auto picks per dataset kind so no query kind any backend could
-		// answer lands on one that cannot: squares → two-stage L∞,
-		// discrete → brute (all three kinds exact), continuous/mixed →
-		// brute routed together with Monte Carlo for quantification.
+		// Auto's fixed rule per dataset kind, so no query kind any backend
+		// could answer lands on one that cannot: squares → two-stage L∞,
+		// discrete → brute (every kind exact), continuous/mixed → brute
+		// for NN≠0 with Monte Carlo for π and top-k.
 		ix, err = engine.BuildAuto(ds, cfg.build, cfg.shard)
 	default:
 		ix, err = engine.BuildSharded(cfg.backend, ds, cfg.build, cfg.shard)
@@ -719,8 +689,8 @@ func OpenSquares(squares []Square, opts ...Option) (*Handle, error) {
 // partition, planner decision with its calibrated cost coefficients,
 // and serving configuration — into w, in the versioned binary format
 // documented in DESIGN.md §9. OpenSnapshot restores it without
-// rebuilding: no geometry recomputation and no calibration probes, so
-// loading is an order of magnitude faster than a cold Open.
+// rebuilding: no geometry recomputation, so loading is an order of
+// magnitude faster than a cold Open.
 //
 // Only handles over uniform-disk, discrete, or square datasets can be
 // snapshotted; continuous distributions (truncated Gaussians,
@@ -756,21 +726,6 @@ type Diagram = nonzero.Diagram
 // DiagramOptions tunes diagram construction.
 type DiagramOptions = nonzero.DiagramOptions
 
-// BuildDiskDiagram constructs V≠0 for disk regions (Theorem 2.5).
-//
-// Deprecated: use OpenDisks(disks, WithBackend(BackendDiagram)); the
-// engine handle adds batching, caching and capability checks.
-func BuildDiskDiagram(disks []Disk, opt DiagramOptions) (*Diagram, error) {
-	return nonzero.BuildDiskDiagram(disks, opt)
-}
-
-// BuildDiscreteDiagram constructs V≠0 for discrete points (Theorem 2.14).
-//
-// Deprecated: use OpenDiscrete(pts, WithBackend(BackendDiagram)).
-func BuildDiscreteDiagram(pts []*Discrete, opt DiagramOptions) (*Diagram, error) {
-	return nonzero.BuildDiscreteDiagram(pts, opt)
-}
-
 // DiskComplexity is the exact vertex census of V≠0 for disk regions.
 type DiskComplexity = nonzero.DiskComplexity
 
@@ -779,14 +734,6 @@ type DiskComplexity = nonzero.DiskComplexity
 func CountDiskComplexity(disks []Disk, grid int) DiskComplexity {
 	return nonzero.CountDiskComplexity(disks, nonzero.GammaOptions{}, grid)
 }
-
-// TwoStageDisks is the near-linear NN≠0 structure for disks (Thm 3.1).
-type TwoStageDisks = nonzero.TwoStageDisks
-
-// NewTwoStageDisks preprocesses disks for NN≠0 queries.
-//
-// Deprecated: use OpenDisks(disks, WithBackend(BackendTwoStageDisks)).
-func NewTwoStageDisks(disks []Disk) *TwoStageDisks { return nonzero.NewTwoStageDisks(disks) }
 
 // TwoStageDiscrete is the near-linear NN≠0 structure for discrete points
 // (Theorem 3.2).
@@ -809,32 +756,8 @@ func ExactProbabilities(pts []*Discrete, q Point) []float64 {
 	return quantify.ExactAt(pts, q)
 }
 
-// VPr is the exact probabilistic Voronoi diagram (§4.1, Theorem 4.2).
-type VPr = quantify.VPr
-
 // VPrOptions tunes V_Pr construction.
 type VPrOptions = quantify.VPrOptions
-
-// BuildVPr constructs the exact probabilistic Voronoi diagram.
-//
-// Deprecated: use OpenDiscrete(pts, WithBackend(BackendVPr)).
-func BuildVPr(pts []*Discrete, opt VPrOptions) (*VPr, error) {
-	return quantify.BuildVPr(pts, opt)
-}
-
-// MonteCarlo is the randomized structure of Theorem 4.3/4.5.
-type MonteCarlo = quantify.MonteCarlo
-
-// MCOptions configures Monte-Carlo construction.
-type MCOptions = quantify.MCOptions
-
-// NewMonteCarlo builds a Monte-Carlo index with s instantiations.
-//
-// Deprecated: use Open(pts, WithBackend(BackendMonteCarlo),
-// WithMCRounds(s)).
-func NewMonteCarlo(pts []Uncertain, s int, opt MCOptions) (*MonteCarlo, error) {
-	return quantify.NewMonteCarlo(pts, s, opt)
-}
 
 // MCRounds returns the round count prescribed by Theorem 4.3 for a
 // uniform (all queries) ε/δ guarantee.
@@ -913,44 +836,8 @@ func NewSpiralContinuous(pts []Uncertain, perPoint int, rng *rand.Rand) (*Spiral
 	return quantify.NewSpiralContinuous(pts, perPoint, rng)
 }
 
-// NewMonteCarloParallel is NewMonteCarlo with construction fanned out
-// over all CPUs; results are deterministic in the seed.
-//
-// Deprecated: use Open(pts, WithBackend(BackendMonteCarlo),
-// WithMCRounds(s), WithMCParallel()).
-func NewMonteCarloParallel(pts []Uncertain, s int, opt MCOptions) (*MonteCarlo, error) {
-	return quantify.NewMonteCarloParallel(pts, s, opt)
-}
-
 // --- L1 / L∞ metrics (remark after Theorem 3.1) ------------------------------
 
 // Square is an L∞ ball (axis-aligned square) or, under the L1 API, a
 // diamond: center plus radius.
 type Square = lmetric.Square
-
-// TwoStageLinf answers NN≠0 queries over square uncertainty regions
-// under the Chebyshev metric.
-type TwoStageLinf = lmetric.TwoStageLinf
-
-// NewTwoStageLinf preprocesses square regions for L∞ NN≠0 queries.
-//
-// Deprecated: use OpenSquares(squares, WithBackend(BackendTwoStageLinf)).
-func NewTwoStageLinf(squares []Square) *TwoStageLinf { return lmetric.NewTwoStageLinf(squares) }
-
-// TwoStageL1 answers NN≠0 queries over diamond regions under the
-// Manhattan metric (via the 45° reduction to L∞).
-type TwoStageL1 = lmetric.TwoStageL1
-
-// NewTwoStageL1 preprocesses diamond regions for L1 NN≠0 queries.
-//
-// Deprecated: use OpenSquares(diamonds, WithBackend(BackendTwoStageL1)).
-func NewTwoStageL1(diamonds []Square) *TwoStageL1 { return lmetric.NewTwoStageL1(diamonds) }
-
-// NewSpiralQuadtree is NewSpiral with the quadtree branch-and-bound
-// retrieval backend suggested in §4.3 Remark (ii) ([Har11]).
-//
-// Deprecated: use OpenDiscrete(pts, WithBackend(BackendSpiral),
-// WithSpiralQuadtree()).
-func NewSpiralQuadtree(pts []*Discrete) (*Spiral, error) {
-	return quantify.NewSpiralQuadtree(pts)
-}

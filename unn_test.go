@@ -698,8 +698,7 @@ func TestHandleBatchMutate(t *testing.T) {
 	}
 }
 
-// TestHandleImmutable: monolithic handles refuse mutations, and the
-// adaptive knob demands sharding.
+// TestHandleImmutable: monolithic handles refuse mutations.
 func TestHandleImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1a1))
 	pts := testDiscretes(t, rng, 8, 2, 20)
@@ -718,9 +717,6 @@ func TestHandleImmutable(t *testing.T) {
 	}
 	if h.ShardCount() != 0 {
 		t.Fatalf("monolithic ShardCount = %d, want 0", h.ShardCount())
-	}
-	if _, err := unn.OpenDiscrete(pts, unn.WithShardAdaptive(8)); err == nil {
-		t.Fatal("WithShardAdaptive without WithShards was accepted")
 	}
 }
 
@@ -824,11 +820,6 @@ func TestOpenWithPlanner(t *testing.T) {
 	// A missing calibration table fails Open, not silently.
 	if _, err := unn.OpenDiscrete(pts, unn.WithCalibration("/nonexistent/bench.json")); err == nil {
 		t.Fatal("WithCalibration over a missing file accepted")
-	}
-	// The legacy adaptive cutoff is subsumed by per-shard planning;
-	// combining them would silently ignore the cutoff, so it is rejected.
-	if _, err := unn.OpenDiscrete(pts, unn.WithPlanner(), unn.WithShards(2), unn.WithShardAdaptive(8)); err == nil {
-		t.Fatal("WithPlanner + WithShardAdaptive accepted")
 	}
 	// An all-π mix still serves every kind.
 	hm, err := unn.OpenDiscrete(pts, unn.WithPlannerMix(0, 1, 0))
